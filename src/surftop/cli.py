@@ -38,7 +38,7 @@ from .surfaces import (
     homeomorphic,
     intersection_form_class,
 )
-from .zeta import build_field, count_variety, counterexample_report
+from .zeta import DEFAULT_MAX_Q, build_field, count_variety, counterexample_report
 
 
 def _machine(obj) -> str:
@@ -255,7 +255,7 @@ def _run_counterexample(args) -> int:
 
 
 def _run_count(args) -> int:
-    field = build_field(args.p, args.k)
+    field = build_field(args.p, args.k, max_q=DEFAULT_MAX_Q)
     try:
         pc = count_variety(args.variety, field)
     except KeyError as exc:

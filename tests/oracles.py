@@ -4,7 +4,10 @@ Each oracle recomputes a production quantity through a different
 algorithm: determinants by memoized cofactor expansion instead of
 Bareiss, signatures by characteristic-polynomial sign counting instead
 of congruence diagonalization, parity by brute evaluation of Q(x,x)
-mod 2, and point counts by chart-by-chart nested loops with no caching.
+mod 2, and point counts by chart-by-chart nested loops with no caching
+(hypersurfaces in P3) or over every point pair (the Bl1P2 incidence
+model), where production counts diagonal and separable equations by
+value distributions.
 """
 
 from __future__ import annotations
@@ -132,3 +135,24 @@ def naive_affine_chart_count(coeffs, field) -> int:
             if acc == field.zero:
                 total += 1
     return total
+
+
+def naive_blowup_count(field) -> int:
+    """Points of {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} in P2 x P1.
+
+    Tests the incidence equation at every pair of chart representatives.
+    """
+    els = list(field.elements())
+
+    def reps(n):
+        for pivot in range(n + 1):
+            for tail in itertools.product(els, repeat=n - pivot):
+                yield (field.zero,) * pivot + (field.one,) + tail
+
+    lines = list(reps(1))
+    n = 0
+    for x in reps(2):
+        for y in lines:
+            if field.mul(x[1], y[1]) == field.mul(x[2], y[0]):
+                n += 1
+    return n

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -218,6 +219,27 @@ class TestCountCommand:
 
     def test_cap_exceeded_is_usage_error(self, capsys):
         assert main(["count", "--variety", "P1xP1", "--p", "347"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+
+class TestCapBeforePrimality:
+    """A huge characteristic is refused by the cap, before any trial division."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--variety", "P1xP1", "--p", "1000000000000000003"],
+            ["counterexample", "--primes", "1000000000000000003"],
+        ],
+    )
+    def test_huge_prime_exits_2_quickly(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the enumeration cap" in capsys.readouterr().err
+
+    def test_composite_over_cap_is_usage_error(self, capsys):
+        assert main(["count", "--variety", "P1xP1", "--p", "1000"]) == 2
         assert "usage error" in capsys.readouterr().err
 
 

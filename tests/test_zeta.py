@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from oracles import naive_affine_chart_count
+from oracles import naive_affine_chart_count, naive_blowup_count
 from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
 from surftop.surfaces import compute_invariants, catalog_lookup
 from surftop.zeta import (
@@ -28,6 +28,10 @@ from surftop.zeta import (
 )
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+# every field with q <= 27 that build_field supports (k <= 3 rules out 16)
+FIELDS_TO_27 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                (13, 1), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
+HUGE_PRIME = 1000000000000000003
 
 
 def _golden():
@@ -325,3 +329,88 @@ class TestWeilAgainstCatalog:
             pc = count_variety(variety, f)
             assert pc.count == 1 + b2 * f.q + f.q**2
             assert weil_bound_check(pc, b2)
+
+
+class TestCheckOrder:
+    """Degree, then q against the cap, then primality: a huge p is never factored."""
+
+    def test_cap_before_primality(self):
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            build_field(HUGE_PRIME, 1, max_q=343)
+
+    def test_composite_over_cap_is_a_cap_error(self):
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            build_field(1000, 1, max_q=343)
+
+    def test_degree_before_cap(self):
+        with pytest.raises(UnsupportedDegreeError):
+            build_field(HUGE_PRIME, 4, max_q=343)
+
+    def test_zeta_counts_and_report_check_fields_first(self):
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            zeta_counts("P1xP1", HUGE_PRIME, 1)
+        with pytest.raises(UnsupportedDegreeError):
+            zeta_counts("fermat4", 3, 4)
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            counterexample_report([3, HUGE_PRIME], degrees=1)
+
+
+def _diagonal_form(rng: random.Random, p: int, d: int, j: int) -> dict:
+    """x_i^d terms: variable j % 4 missing, variable (j + 1) % 4 with a
+    coefficient divisible by p, the others with mixed nonzero coefficients."""
+    form = {}
+    for i in range(4):
+        if i == j % 4:
+            continue
+        if i == (j + 1) % 4:
+            c = p * rng.choice([-2, -1, 1, 2])
+        else:
+            c = rng.choice([a for a in range(-2 * p, 2 * p + 1) if a % p])
+        form[tuple(d if t == i else 0 for t in range(4))] = c
+    return form
+
+
+class TestDiagonalAgainstOracle:
+    @pytest.mark.parametrize("p,k", SMALL_FIELDS)
+    def test_random_diagonal_forms(self, p, k):
+        f = build_field(p, k)
+        rng = random.Random(1000 * p + k)
+        # the oracle costs O(q^3 d) multiplications, so the larger fields get fewer, lower forms
+        n_forms, max_d = (8, 6) if f.q < 25 else (2, 3)
+        for j in range(n_forms):
+            form = _diagonal_form(rng, p, rng.randint(1, max_d), j)
+            assert count_hypersurface_p3(form, f).count == naive_affine_chart_count(form, f), form
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_fermat_every_q_up_to_9(self, p, k, d):
+        f = build_field(p, k)
+        assert count_variety(f"fermat{d}", f).count == naive_affine_chart_count(fermat_form(d), f)
+
+    def test_nonzero_constant_counts_zero(self):
+        for p, k in SMALL_FIELDS:
+            assert count_hypersurface_p3({(0, 0, 0, 0): 1}, build_field(p, k)).count == 0
+
+
+class TestBlowupAgainstOracle:
+    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
+    def test_matches_naive_incidence_count(self, p, k):
+        f = build_field(p, k)
+        assert count_blowup_p2(f).count == naive_blowup_count(f)
+
+
+class TestAtTheCap:
+    @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
+    def test_blowup_closed_form(self, p, k):
+        f = build_field(p, k)
+        assert count_blowup_p2(f).count == (f.q + 1) ** 2
+
+    @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
+    def test_fermat_weil_bound_at_good_primes(self, p, k):
+        f = build_field(p, k)
+        for d in range(3, 7):
+            variety = f"fermat{d}"
+            if not model_has_good_reduction(variety, p):
+                continue
+            b2 = compute_invariants(catalog_lookup(model_surface_name(variety))).b2
+            assert weil_bound_check(count_variety(variety, f), b2), variety
