@@ -13,7 +13,9 @@ floats) so that parse + re-serialize is byte-identical. Output is plain
 text; nothing is colorized, so NO_COLOR needs no special handling.
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
-with arbitrary-precision integers, parsed exactly.
+with integers parsed exactly, up to Python's default limit of 4300
+digits per integer; a file that cannot be read or parsed is refused
+as InvalidInput.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from enum import Enum
 
 from .classification import (
     ClassificationMode,
@@ -30,7 +33,7 @@ from .classification import (
     describe,
 )
 from .errors import DomainError, InvalidInputError
-from .lattice import FormInvariants, GramMatrix, invariants
+from .lattice import GramMatrix, invariants
 from .surfaces import (
     SurfaceData,
     catalog_lookup,
@@ -38,36 +41,35 @@ from .surfaces import (
     homeomorphic,
     intersection_form_class,
 )
-from .zeta import DEFAULT_MAX_Q, build_field, count_variety, counterexample_report
+from .zeta import MAX_Q, build_field, count_variety, counterexample_report
 
 
 def _machine(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _invariants_dict(inv: FormInvariants) -> dict:
-    return {
-        "rank": inv.rank,
-        "b_plus": inv.b_plus,
-        "b_minus": inv.b_minus,
-        "signature": inv.signature,
-        "parity": inv.parity.value,
-        "determinant": inv.determinant,
-    }
+def _fields(obj) -> dict:
+    """A frozen dataclass as a dict, enum fields by value."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in vars(obj).items()}
 
 
 def _load_gram(path: str) -> GramMatrix:
     try:
         with open(path, "r") as fh:
-            obj = json.load(fh)
+            return GramMatrix.from_dict(json.load(fh))
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return GramMatrix.from_dict(obj)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bad UTF-8, an integer over the digit limit, nesting
+        # deeper than the parser's recursion limit, or a bad Gram object
         raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+def _catalog_surface(name: str) -> SurfaceData:
+    try:
+        return catalog_lookup(name)
+    except KeyError as exc:
+        raise InvalidInputError(str(exc)) from exc
 
 
 def _surface_spec(spec: str) -> SurfaceData:
@@ -85,10 +87,7 @@ def _surface_spec(spec: str) -> SurfaceData:
                     raise InvalidInputError(f"bad surface spec {spec!r}: trailing part must be 'spin'")
                 spin = True
             return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=spin)
-    try:
-        return catalog_lookup(spec)
-    except KeyError as exc:
-        raise InvalidInputError(str(exc)) from exc
+    return _catalog_surface(spec)
 
 
 def _primes_list(text: str) -> list[int]:
@@ -151,7 +150,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _run_classify(args) -> int:
+def _run_classify(args) -> tuple[dict, list[str]]:
     m = _load_gram(args.gram)
     mode = (
         ClassificationMode.SMOOTH_FOUR_MANIFOLD
@@ -160,121 +159,67 @@ def _run_classify(args) -> int:
     )
     inv = invariants(m)
     cls = classify_form(inv, mode)
-    if args.json:
-        print(_machine({"invariants": _invariants_dict(inv), "class": class_to_dict(cls)}))
-    else:
-        print(
-            f"rank {inv.rank}  b+ {inv.b_plus}  b- {inv.b_minus}  "
-            f"signature {inv.signature}  parity {inv.parity.value}  "
-            f"determinant {inv.determinant}"
-        )
-        print(f"class: {describe(cls)}")
-    return 0
+    text = [
+        f"rank {inv.rank}  b+ {inv.b_plus}  b- {inv.b_minus}  "
+        f"signature {inv.signature}  parity {inv.parity.value}  "
+        f"determinant {inv.determinant}",
+        f"class: {describe(cls)}",
+    ]
+    return {"invariants": _fields(inv), "class": class_to_dict(cls)}, text
 
 
-def _surface_payload(s: SurfaceData) -> dict:
+def _surface(s: SurfaceData) -> tuple[dict, list[str]]:
     inv = compute_invariants(s)
     cls = intersection_form_class(s)
-    return {
-        "surface": {"name": s.name, "c1_sq": s.c1_sq, "c2": s.c2, "spin": s.spin},
-        "invariants": {
-            "b2": inv.b2,
-            "sigma": inv.sigma,
-            "parity": inv.parity.value,
-            "b_plus": inv.b_plus,
-            "b_minus": inv.b_minus,
-            "chi_holo": inv.chi_holo,
-        },
-        "class": class_to_dict(cls),
-    }
+    payload = {"surface": _fields(s), "invariants": _fields(inv), "class": class_to_dict(cls)}
+    text = [
+        f"{s.name}: c1^2 {s.c1_sq}, c2 {s.c2}, {'spin' if s.spin else 'non-spin'}",
+        f"  b2 {inv.b2}  signature {inv.sigma}  parity {inv.parity.value}  "
+        f"b+ {inv.b_plus}  b- {inv.b_minus}  chi(O) {inv.chi_holo}",
+        f"  intersection form: {describe(cls)}",
+    ]
+    return payload, text
 
 
-def _print_surface_line(payload: dict):
-    s = payload["surface"]
-    inv = payload["invariants"]
-    print(
-        f"{s['name']}: c1^2 {s['c1_sq']}, c2 {s['c2']}, "
-        f"{'spin' if s['spin'] else 'non-spin'}"
-    )
-    print(
-        f"  b2 {inv['b2']}  signature {inv['sigma']}  parity {inv['parity']}  "
-        f"b+ {inv['b_plus']}  b- {inv['b_minus']}  chi(O) {inv['chi_holo']}"
-    )
-
-
-def _run_surface(args) -> int:
+def _run_surface(args) -> tuple[dict, list[str]]:
     if args.name is not None:
-        try:
-            s = catalog_lookup(args.name)
-        except KeyError as exc:
-            raise InvalidInputError(str(exc)) from exc
-    else:
-        s = SurfaceData(name="surface", c1_sq=args.c1sq, c2=args.c2, spin=args.spin)
-    payload = _surface_payload(s)
-    if args.json:
-        print(_machine(payload))
-    else:
-        _print_surface_line(payload)
-        print(f"  intersection form: {describe(class_from_dict(payload['class']))}")
-    return 0
+        return _surface(_catalog_surface(args.name))
+    return _surface(SurfaceData(name="surface", c1_sq=args.c1sq, c2=args.c2, spin=args.spin))
 
 
-def _run_compare(args) -> int:
+def _run_compare(args) -> tuple[dict, list[str]]:
     a = _surface_spec(args.a)
     b = _surface_spec(args.b)
     verdict = homeomorphic(a, b)
-    pa, pb = _surface_payload(a), _surface_payload(b)
-    if args.json:
-        print(_machine({"a": pa, "b": pb, "homeomorphic": verdict}))
-    else:
-        for payload in (pa, pb):
-            _print_surface_line(payload)
-            print(f"  intersection form: {describe(class_from_dict(payload['class']))}")
-        print(f"verdict: {'homeomorphic' if verdict else 'not homeomorphic'}")
-    return 0
+    (pa, ta), (pb, tb) = _surface(a), _surface(b)
+    text = ta + tb + [f"verdict: {'homeomorphic' if verdict else 'not homeomorphic'}"]
+    return {"a": pa, "b": pb, "homeomorphic": verdict}, text
 
 
-def _run_counterexample(args) -> int:
+def _run_counterexample(args) -> tuple[dict, list[str]]:
     report = counterexample_report(args.primes, degrees=args.degrees)
-    if args.json:
-        print(_machine(report))
-        return 0
-    print("surfaces: P1xP1 vs Bl1P2 (P2 blown up at a point)")
+    text = ["surfaces: P1xP1 vs Bl1P2 (P2 blown up at a point)"]
     for block in report["primes"]:
         for row in block["counts"]:
             mark = "==" if row["equal"] else "!="
-            print(
-                f"  q = {row['q']:>4}: {row['P1xP1']:>8} {mark} {row['Bl1P2']:>8}"
-            )
-    ca = describe(class_from_dict(report["form_classes"]["P1xP1"]))
-    cb = describe(class_from_dict(report["form_classes"]["Bl1P2"]))
-    print(f"intersection forms: {ca} vs {cb}")
-    print(f"homeomorphic: {report['homeomorphic']}")
-    print(report["conclusion"])
-    return 0
+            text.append(f"  q = {row['q']:>4}: {row['P1xP1']:>8} {mark} {row['Bl1P2']:>8}")
+    ca, cb = (describe(class_from_dict(report["form_classes"][n])) for n in ("P1xP1", "Bl1P2"))
+    text += [
+        f"intersection forms: {ca} vs {cb}",
+        f"homeomorphic: {report['homeomorphic']}",
+        report["conclusion"],
+    ]
+    return report, text
 
 
-def _run_count(args) -> int:
-    field = build_field(args.p, args.k, max_q=DEFAULT_MAX_Q)
+def _run_count(args) -> tuple[dict, list[str]]:
+    field = build_field(args.p, args.k, max_q=MAX_Q)
     try:
         pc = count_variety(args.variety, field)
     except KeyError as exc:
         raise InvalidInputError(str(exc)) from exc
-    if args.json:
-        print(
-            _machine(
-                {
-                    "variety": pc.variety,
-                    "p": args.p,
-                    "k": args.k,
-                    "q": pc.q,
-                    "count": pc.count,
-                }
-            )
-        )
-    else:
-        print(f"{pc.variety} over GF({pc.q}): {pc.count} points")
-    return 0
+    payload = {"variety": pc.variety, "p": args.p, "k": args.k, "q": pc.q, "count": pc.count}
+    return payload, [f"{pc.variety} over GF({pc.q}): {pc.count} points"]
 
 
 _RUNNERS = {
@@ -287,8 +232,12 @@ _RUNNERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Dispatch a parsed command; may raise DomainError or ValueError."""
-    return _RUNNERS[args.command](args)
+    """Dispatch a parsed command and print its result: the canonical JSON
+    payload under --json, the text lines otherwise. May raise DomainError
+    or ValueError."""
+    payload, text = _RUNNERS[args.command](args)
+    print(_machine(payload) if args.json else "\n".join(text))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,12 +21,13 @@ implementation. Two methods are used:
   nonzero coordinate 1), for P1 x P1 and for every hypersurface in P3
   with a mixed monomial.
 
-The cap (default q <= 343) bounds the work: at the cap a
-value-distribution count takes under a second, while enumeration would
-visit about 4 * 10^7 representatives of P3. The cap is checked before
-the characteristic is tested for primality. Smoothness of user-supplied
-forms mod p is not verified; Weil-bound checks are authoritative only
-for the shipped models at their good primes.
+The cap q <= MAX_Q = 343 bounds the work. It is a constant, with no
+default for a caller to raise: at the cap a value-distribution count
+takes under a second, while enumeration would visit about 4 * 10^7
+representatives of P3. The cap is checked before the characteristic is
+tested for primality. Smoothness of user-supplied forms mod p is not
+verified; Weil-bound checks are authoritative only for the shipped
+models at their good primes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .classification import class_to_dict
 from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
 from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
 
-DEFAULT_MAX_Q = 343
+MAX_Q = 343
 
 
 def is_prime(n: int) -> bool:
@@ -201,11 +202,9 @@ def projective_points(field: FiniteField, n: int):
             yield prefix + tail
 
 
-def _check_scale(q: int, max_q: int):
+def _check_scale(q: int, max_q: int = MAX_Q):
     if q > max_q:
-        raise ValueError(
-            f"q = {q} exceeds the enumeration cap {max_q}; raise max_q to force it"
-        )
+        raise ValueError(f"q = {q} exceeds the enumeration cap {max_q}")
 
 
 def _term_hist(field: FiniteField, c, powers) -> Counter:
@@ -236,22 +235,22 @@ def _affine_zeros(field: FiniteField, hists) -> int:
     return sum(m * last.get(neg(a), 0) for a, m in acc.items())
 
 
-def count_p1xp1(field: FiniteField, max_q: int = DEFAULT_MAX_Q) -> PointCount:
+def count_p1xp1(field: FiniteField) -> PointCount:
     """Points of P1 x P1 by direct enumeration of representative pairs."""
-    _check_scale(field.q, max_q)
+    _check_scale(field.q)
     line = list(projective_points(field, 1))
     n = sum(1 for _pair in itertools.product(line, line))
     return PointCount(variety="P1xP1", q=field.q, count=n)
 
 
-def count_blowup_p2(field: FiniteField, max_q: int = DEFAULT_MAX_Q) -> PointCount:
+def count_blowup_p2(field: FiniteField) -> PointCount:
     """Points of the blowup of P2 at [1:0:0], counted on its incidence model.
 
     The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1.
     For each y the equation 0 * x0 + y1 x1 - y0 x2 = 0 is separable in x,
     so its points in P2 are its nonzero affine zeros over q - 1.
     """
-    _check_scale(field.q, max_q)
+    _check_scale(field.q)
     xs = list(field.elements())
     linear_hist = functools.cache(lambda c: _term_hist(field, c, xs))
     n = 0
@@ -265,7 +264,6 @@ def count_hypersurface_p3(
     coeffs: dict[tuple[int, int, int, int], int],
     field: FiniteField,
     variety: str = "hypersurface",
-    max_q: int = DEFAULT_MAX_Q,
 ) -> PointCount:
     """Zeros in P3 of a homogeneous integer form.
 
@@ -275,7 +273,7 @@ def count_hypersurface_p3(
     from the value distributions of its terms: (N_aff - 1)/(q - 1) points.
     Every other form is counted by full enumeration.
     """
-    _check_scale(field.q, max_q)
+    _check_scale(field.q)
     degrees = {sum(e) for e in coeffs}
     if len(degrees) > 1:
         raise ValueError("form is not homogeneous")
@@ -358,26 +356,22 @@ def model_has_good_reduction(variety: str, p: int) -> bool:
     return True if d is None else d % p != 0
 
 
-def count_variety(
-    variety: str, field: FiniteField, max_q: int = DEFAULT_MAX_Q
-) -> PointCount:
+def count_variety(variety: str, field: FiniteField) -> PointCount:
     """Count a shipped model by id; KeyError for unknown ids."""
     if variety not in MODELS:
         raise KeyError(f"no countable model named {variety!r}")
     if variety == "P1xP1":
-        return count_p1xp1(field, max_q=max_q)
+        return count_p1xp1(field)
     if variety == "Bl1P2":
-        return count_blowup_p2(field, max_q=max_q)
+        return count_blowup_p2(field)
     d = MODELS[variety][1]
-    return count_hypersurface_p3(fermat_form(d), field, variety=variety, max_q=max_q)
+    return count_hypersurface_p3(fermat_form(d), field, variety=variety)
 
 
-def zeta_counts(
-    variety: str, p: int, degrees: int, max_q: int = DEFAULT_MAX_Q
-) -> ZetaData:
+def zeta_counts(variety: str, p: int, degrees: int) -> ZetaData:
     """Counts of one model over GF(p), ..., GF(p^degrees)."""
-    fields = [build_field(p, k, max_q=max_q) for k in range(1, degrees + 1)]
-    counts = tuple(count_variety(variety, f, max_q=max_q) for f in fields)
+    fields = [build_field(p, k, max_q=MAX_Q) for k in range(1, degrees + 1)]
+    counts = tuple(count_variety(variety, f) for f in fields)
     return ZetaData(variety=variety, p=p, counts=counts)
 
 
@@ -390,9 +384,7 @@ def weil_bound_check(c: PointCount, b2: int) -> bool:
     return abs(c.count - 1 - c.q * c.q) <= b2 * c.q
 
 
-def counterexample_report(
-    primes: list[int], degrees: int = 2, max_q: int = DEFAULT_MAX_Q
-) -> dict:
+def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
     """Equal zeta data vs distinct homeomorphism type, in one structured report.
 
     For each prime and each extension degree up to `degrees`, counts the
@@ -408,23 +400,20 @@ def counterexample_report(
     quadric = catalog_lookup("P1xP1")
     blowup = catalog_lookup("Bl1P2")
     homeo = homeomorphic(quadric, blowup)
-    classes = {
-        "P1xP1": class_to_dict(intersection_form_class(quadric)),
-        "Bl1P2": class_to_dict(intersection_form_class(blowup)),
-    }
-    inv = {}
+    classes, inv = {}, {}
     for s in (quadric, blowup):
+        classes[s.name] = class_to_dict(intersection_form_class(s))
         si = compute_invariants(s)
         inv[s.name] = {"b2": si.b2, "sigma": si.sigma, "parity": si.parity.value}
     # every field is checked before any counting starts
-    fields = [[build_field(p, k, max_q=max_q) for k in range(1, degrees + 1)] for p in primes]
+    fields = [[build_field(p, k, max_q=MAX_Q) for k in range(1, degrees + 1)] for p in primes]
     per_prime = []
     all_equal = True
     for p, row_fields in zip(primes, fields):
         rows = []
         for f in row_fields:
-            a = count_p1xp1(f, max_q=max_q)
-            b = count_blowup_p2(f, max_q=max_q)
+            a = count_p1xp1(f)
+            b = count_blowup_p2(f)
             equal = a.count == b.count
             all_equal = all_equal and equal
             rows.append({"q": f.q, "P1xP1": a.count, "Bl1P2": b.count, "equal": equal})

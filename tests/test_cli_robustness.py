@@ -1,0 +1,215 @@
+"""The CLI on malformed and extreme input.
+
+A Gram file that cannot be read or parsed is refused as InvalidInput
+(exit 1). Whatever the arguments, `main` returns 0, 1 or 2 (or argparse raises
+SystemExit(2)); no other exception escapes and nothing prints a
+traceback. Real field sizes are drawn from q <= 49, so every call that
+gets as far as counting stays cheap; every other int is over the cap,
+composite, negative or otherwise refused before any counting.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surftop.cli import main
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+REAL_FIELDS = [(p, k) for p in SMALL_PRIMES for k in (1, 2, 3) if p**k <= 49]
+
+huge = st.integers(min_value=10**18, max_value=10**60)
+composite = st.builds(lambda a, b: a * b, st.integers(2, 40), st.integers(2, 40))
+# ints that must be refused before any counting: never a prime p with p^k <= 343
+bad_int = st.one_of(
+    huge,
+    huge.map(lambda v: -v),
+    st.integers(-50, 1),
+    composite,
+    st.sampled_from([347, 349, 1000000000000000003]),
+)
+any_int = st.one_of(bad_int, st.integers(-10, 10), huge).map(str)
+junk = st.one_of(
+    st.sampled_from(["", " ", "x", "1e3", "0x10", "1.5", "-", "--", "3,", "١٢"]),
+    st.text(max_size=8),
+)
+json_flag = st.sampled_from([[], ["--json"]])
+
+
+@st.composite
+def count_argv(draw):
+    variety = draw(
+        st.one_of(
+            st.sampled_from(["P1xP1", "Bl1P2"] + [f"fermat{d}" for d in range(0, 8)]),
+            junk,
+        )
+    )
+    if draw(st.booleans()):
+        p, k = draw(st.sampled_from(REAL_FIELDS))
+        p, k = str(p), str(k)
+    else:
+        p = draw(st.one_of(bad_int.map(str), junk))
+        k = draw(st.one_of(st.sampled_from(["1", "2", "3"]), any_int, junk))
+    argv = ["count", "--variety", variety, "--p", p]
+    if draw(st.booleans()):
+        argv += ["--k", k]
+    return argv + draw(json_flag)
+
+
+@st.composite
+def counterexample_argv(draw):
+    degrees = draw(st.sampled_from(["1", "2", "3"]))
+    real = [p for p in (2, 3, 5, 7) if p ** int(degrees) <= 49]
+    token = st.sampled_from(real).map(str)
+    if draw(st.booleans()):
+        token = st.one_of(token, bad_int.map(str), junk)
+    primes = ",".join(draw(st.lists(token, max_size=3)))
+    argv = ["counterexample", "--primes", primes]
+    if draw(st.booleans()):
+        argv += ["--degrees", degrees if draw(st.booleans()) else draw(st.one_of(any_int, junk))]
+    return argv + draw(json_flag)
+
+
+surface_name = st.sampled_from(["K3", "P2", "P1xP1", "BlP2", "Bl9P2", "deg6", "Enriques", ""])
+
+
+@st.composite
+def surface_argv(draw):
+    argv = ["surface"]
+    if draw(st.booleans()):
+        argv += ["--name", draw(st.one_of(surface_name, junk))]
+    if draw(st.booleans()):
+        argv += ["--c1sq", draw(st.one_of(any_int, junk))]
+    if draw(st.booleans()):
+        argv += ["--c2", draw(st.one_of(any_int, junk))]
+    if draw(st.booleans()):
+        argv += ["--spin"]
+    return argv + draw(json_flag)
+
+
+spec = st.one_of(
+    surface_name,
+    st.builds(
+        lambda a, b, tail: ",".join([a, b, *tail]),
+        any_int,
+        any_int,
+        st.lists(st.sampled_from(["spin", "shiny", "", "x"]), max_size=2),
+    ),
+    junk,
+)
+
+
+@st.composite
+def compare_argv(draw):
+    return ["compare", "--a", draw(spec), "--b", draw(spec)] + draw(json_flag)
+
+
+def gram_text(n, entries):
+    return json.dumps({"n": n, "entries": entries}).encode()
+
+
+@st.composite
+def gram_matrix(draw):
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), huge, st.sampled_from([True, 1.5, None, "1"]))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):  # symmetric, which is where the real work is
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    n_field = draw(st.one_of(st.just(n), st.integers(-2, 7), st.sampled_from(["2", None, 2.0])))
+    return gram_text(n_field, rows)
+
+
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["n", "entries", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+UNIMODULAR = [
+    [[0, 1], [1, 0]],
+    [[1, 0], [0, -1]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[2, 1], [1, 1]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+]
+gram_bytes = st.one_of(
+    st.sampled_from(UNIMODULAR).map(lambda rows: gram_text(len(rows), rows)),
+    gram_matrix(),
+    json_value.map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=40),
+    st.sampled_from([10, 5000, 200_000]).map(lambda depth: b"[" * depth),
+    st.integers(4000, 6000).map(lambda digits: b'{"n": 1, "entries": [[' + b"7" * digits + b"]]}"),
+    gram_matrix().map(lambda text: b"\xff\xfe" + text),
+)
+
+
+@st.composite
+def classify_argv(draw):
+    argv = ["classify", "--gram", "{missing}" if draw(st.integers(0, 9)) == 0 else "{gram}"]
+    if draw(st.booleans()):
+        argv += ["--smooth"]
+    return argv + draw(json_flag)
+
+
+@pytest.fixture(scope="module")
+def gram_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run(argv, gram_dir, gram):
+    path = gram_dir / "gram.json"
+    path.write_bytes(gram)
+    argv = [
+        str(path) if a == "{gram}" else str(gram_dir / "none.json") if a == "{missing}" else a
+        for a in argv
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, exc.code)
+            code = "argparse"
+    assert code in (0, 1, 2, "argparse"), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:  # a domain rejection names its error on stderr
+        assert err.getvalue().split(":", 1)[0].isidentifier()
+
+
+@settings(max_examples=400)
+@given(
+    argv=st.one_of(
+        count_argv(), counterexample_argv(), surface_argv(), compare_argv(), classify_argv()
+    ),
+    gram=gram_bytes,
+)
+def test_cli_never_escapes(gram_dir, argv, gram):
+    run(argv, gram_dir, gram)
+
+
+class TestMalformedGramFile:
+    """Parse failures that used to escape as a traceback or a usage error."""
+
+    def classify(self, tmp_path, capsys, content: bytes):
+        path = tmp_path / "gram.json"
+        path.write_bytes(content)
+        code = main(["classify", "--gram", str(path)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.err
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        code, err = self.classify(tmp_path, capsys, b"[" * 200_000)
+        assert code == 1 and err.startswith("InvalidInput")
+
+    def test_integer_over_digit_limit(self, tmp_path, capsys):
+        content = b'{"n": 1, "entries": [[' + b"1" * 4301 + b"]]}"
+        code, err = self.classify(tmp_path, capsys, content)
+        assert code == 1 and err.startswith("InvalidInput")
+
+    def test_not_utf8(self, tmp_path, capsys):
+        content = b"\xff\xfe" + json.dumps({"n": 2, "entries": [[0, 1], [1, 0]]}).encode()
+        code, err = self.classify(tmp_path, capsys, content)
+        assert code == 1 and err.startswith("InvalidInput")
