@@ -17,6 +17,7 @@ from .errors import (
     DefiniteEvenUnrealizableError,
     DefiniteNotClassifiedError,
     DegenerateFormError,
+    EmptyFormError,
     InconsistentEvenSignatureError,
     NotUnimodularError,
 )
@@ -87,6 +88,7 @@ class DefiniteDiagonal:
 
 
 FormClass = IndefiniteOdd | IndefiniteEven | DefiniteDiagonal
+_VARIANTS = {cls.__name__: cls for cls in FormClass.__args__}
 
 
 # Standard even positive-definite rank-8 form: Gram matrix of the E8 root
@@ -114,16 +116,20 @@ def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:
 
     Definiteness (and its sign) is read off from rank and signature alone.
     Raises DegenerateFormError / NotUnimodularError on bad determinants,
-    InconsistentEvenSignatureError when an even form's signature is not
-    divisible by 8 (no such unimodular form exists), and refuses definite
-    forms outside SMOOTH_FOUR_MANIFOLD mode.
+    EmptyFormError on rank 0, InconsistentEvenSignatureError when an even
+    form's signature is not divisible by 8 (no such unimodular form
+    exists), and refuses definite forms outside SMOOTH_FOUR_MANIFOLD mode.
     """
     if inv.determinant == 0:
         raise DegenerateFormError("form is degenerate (determinant 0)")
     if inv.determinant not in (1, -1):
-        raise NotUnimodularError(f"determinant {inv.determinant} is not +/-1")
+        try:
+            det = str(inv.determinant)
+        except ValueError:  # more digits than int-to-str conversion allows
+            det = f"of {inv.determinant.bit_length()} bits"
+        raise NotUnimodularError(f"determinant {det} is not +/-1")
     if inv.rank < 1:
-        raise ValueError("classification requires rank >= 1")
+        raise EmptyFormError("classification requires rank >= 1")
     r, s = inv.rank, inv.signature
     if inv.parity is Parity.EVEN and s % 8 != 0:
         raise InconsistentEvenSignatureError(
@@ -176,18 +182,10 @@ def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> 
 
 
 def class_to_dict(c: FormClass) -> dict:
-    """Stable tagged serialization of a form class."""
-    if isinstance(c, IndefiniteOdd):
-        return {"variant": "IndefiniteOdd", "n_plus": c.n_plus, "n_minus": c.n_minus}
-    if isinstance(c, IndefiniteEven):
-        return {
-            "variant": "IndefiniteEven",
-            "e8_signed_count": c.e8_signed_count,
-            "h_count": c.h_count,
-        }
-    if isinstance(c, DefiniteDiagonal):
-        return {"variant": "DefiniteDiagonal", "sign": c.sign, "rank": c.rank}
-    raise TypeError(f"not a form class: {c!r}")
+    """Stable tagged serialization of a form class: its variant and fields."""
+    if not isinstance(c, FormClass):
+        raise TypeError(f"not a form class: {c!r}")
+    return {"variant": type(c).__name__, **vars(c)}
 
 
 def class_from_dict(obj: dict) -> FormClass:
@@ -197,16 +195,13 @@ def class_from_dict(obj: dict) -> FormClass:
     if any(not isinstance(v, int) or isinstance(v, bool) for v in fields.values()):
         raise ValueError("form class fields must be integers")
     variant = obj["variant"]
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValueError(f"unknown form class variant {variant!r}")
     try:
-        if variant == "IndefiniteOdd":
-            return IndefiniteOdd(**fields)
-        if variant == "IndefiniteEven":
-            return IndefiniteEven(**fields)
-        if variant == "DefiniteDiagonal":
-            return DefiniteDiagonal(**fields)
+        return cls(**fields)
     except TypeError as exc:
         raise ValueError(f"bad fields for {variant}: {exc}") from exc
-    raise ValueError(f"unknown form class variant {variant!r}")
 
 
 def _coeff(k: int) -> str:

@@ -20,6 +20,12 @@ class DegenerateFormError(DomainError):
     name = "DegenerateForm"
 
 
+class EmptyFormError(DomainError, ValueError):
+    """The form has rank 0; a ValueError too, as the unnamed error it replaced."""
+
+    name = "EmptyForm"
+
+
 class NotUnimodularError(DomainError):
     """The form's determinant is not +1 or -1."""
 

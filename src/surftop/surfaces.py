@@ -12,16 +12,12 @@ constraint raise InvalidSurfaceError rather than being classified.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 
 from .classification import ClassificationMode, FormClass, classify_form
 from .errors import InvalidSurfaceError
 from .lattice import FormInvariants, Parity
-
-CATALOG_RESOURCE = "catalog.json"
 
 # convenience spellings accepted by name lookup
 _ALIASES = {"BlP2": "Bl1P2", "K3": "deg4", "Quadric": "deg2", "Cubic": "deg3"}
@@ -146,11 +142,12 @@ def blow_up(s: SurfaceData, k: int) -> SurfaceData:
 
 @lru_cache(maxsize=1)
 def _load_catalog() -> tuple[SurfaceData, ...]:
-    raw = resources.files("surftop").joinpath("data").joinpath(CATALOG_RESOURCE).read_text()
-    obj = json.loads(raw)
-    entries = tuple(
-        SurfaceData(name=e["name"], c1_sq=e["c1_sq"], c2=e["c2"], spin=e["spin"])
-        for e in obj["surfaces"]
+    p2 = SurfaceData(name="P2", c1_sq=9, c2=3, spin=False)
+    entries = (
+        p2,
+        SurfaceData(name="P1xP1", c1_sq=8, c2=4, spin=True),
+        *(replace(blow_up(p2, k), name=f"Bl{k}P2") for k in range(1, 10)),
+        *(replace(hypersurface(d), name=f"deg{d}") for d in range(1, 7)),
     )
     for s in entries:
         compute_invariants(s)  # every shipped entry must validate
@@ -158,7 +155,8 @@ def _load_catalog() -> tuple[SurfaceData, ...]:
 
 
 def catalog() -> list[SurfaceData]:
-    """All shipped surfaces, validated on first load."""
+    """All shipped surfaces, built from blow_up and hypersurface and
+    validated on first call."""
     return list(_load_catalog())
 
 

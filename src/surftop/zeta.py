@@ -271,7 +271,10 @@ def count_hypersurface_p3(
     reduced mod p, and a form vanishing identically mod p is refused.
     A diagonal form (every monomial a power of one variable) is counted
     from the value distributions of its terms: (N_aff - 1)/(q - 1) points.
-    Every other form is counted by full enumeration.
+    Every other form is counted by full enumeration of the q^3+q^2+q+1
+    points of P3: a cubic with a mixed monomial takes about 4.5 s at
+    q = 49 on a 2-vCPU Xeon VM, and about 25 min (extrapolated) at the
+    cap.
     """
     _check_scale(field.q)
     degrees = {sum(e) for e in coeffs}
@@ -283,30 +286,18 @@ def count_hypersurface_p3(
     if not reduced:
         raise ZeroFormError("form vanishes identically mod p")
     terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
+    exponents = {d for e in reduced for d in e if d}
+    powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
     # a nonzero constant has no variable, so it is never taken as diagonal
     if all(sum(1 for x in e if x) == 1 for e in reduced):
         hists = [{field.zero: field.q}] * 4
         for e, c in terms:
             i = next(i for i, x in enumerate(e) if x)
-            hists[i] = _term_hist(field, c, [field.pow(x, e[i]) for x in field.elements()])
+            hists[i] = _term_hist(field, c, powers[e[i]].values())
         n = (_affine_zeros(field, hists) - 1) // (field.q - 1)
         return PointCount(variety=variety, q=field.q, count=n)
     one = field.one
     zero = field.zero
-    pow_cache: dict[tuple, tuple] = {}
-
-    def power(x, e):
-        if e == 0:
-            return one
-        if e == 1:
-            return x
-        key = (x, e)
-        v = pow_cache.get(key)
-        if v is None:
-            v = field.pow(x, e)
-            pow_cache[key] = v
-        return v
-
     n = 0
     for point in projective_points(field, 3):
         total = zero
@@ -317,7 +308,7 @@ def count_hypersurface_p3(
                     if x == zero:
                         mono = zero
                         break
-                    mono = field.mul(mono, power(x, e))
+                    mono = field.mul(mono, powers[e][x])
             if mono != zero:
                 total = field.add(total, mono if c == one else field.mul(c, mono))
         if total == zero:

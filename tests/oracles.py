@@ -7,7 +7,9 @@ of congruence diagonalization, parity by brute evaluation of Q(x,x)
 mod 2, and point counts by chart-by-chart nested loops with no caching
 (hypersurfaces in P3) or over every point pair (the Bl1P2 incidence
 model), where production counts diagonal and separable equations by
-value distributions.
+value distributions. The point counts do their field arithmetic in
+OracleField, built from p, k and the modulus alone, so a fault in the
+production field cannot show up on both sides of a comparison.
 """
 
 from __future__ import annotations
@@ -113,26 +115,57 @@ def parity_by_enumeration(rows) -> str:
     return "even"
 
 
+class OracleField:
+    """GF(p^k) as coefficient tuples modulo a monic irreducible.
+
+    Products are integer polynomial products (_pmul) reduced by long
+    division from the top coefficient down; nothing is shared with
+    surftop.zeta.FiniteField except the tuple encoding and the modulus.
+    """
+
+    def __init__(self, p: int, k: int, modulus):
+        self.p, self.k, self.modulus = p, k, modulus
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
+        self.elements = list(itertools.product(range(p), repeat=k))
+
+    def from_int(self, a: int):
+        return (a % self.p,) + (0,) * (self.k - 1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = list(_pmul(a, b))
+        for top in range(len(prod) - 1, self.k - 1, -1):
+            c = prod[top]
+            if c:  # subtract c * x^(top - k) * modulus, clearing prod[top]
+                for t, m in enumerate(self.modulus):
+                    prod[top - self.k + t] -= c * m
+        return tuple(v % self.p for v in prod[: self.k])
+
+
 def naive_affine_chart_count(coeffs, field) -> int:
     """Projective zero count by nested loops over the four standard charts.
 
     Deliberately cache-free: every monomial is evaluated by repeated
-    multiplication, term by term.
+    multiplication, term by term, in an OracleField with field's p, k
+    and modulus.
     """
-    reduced = [(e, c % field.p) for e, c in sorted(coeffs.items()) if c % field.p]
-    els = list(field.elements())
+    f = OracleField(field.p, field.k, field.modulus)
+    reduced = [(e, c % f.p) for e, c in sorted(coeffs.items()) if c % f.p]
     total = 0
     for pivot in range(4):
-        for tail in itertools.product(els, repeat=3 - pivot):
-            pt = (field.zero,) * pivot + (field.one,) + tail
-            acc = field.zero
+        for tail in itertools.product(f.elements, repeat=3 - pivot):
+            pt = (f.zero,) * pivot + (f.one,) + tail
+            acc = f.zero
             for exps, c in reduced:
-                term = field.from_int(c)
+                term = f.from_int(c)
                 for x, e in zip(pt, exps):
                     for _ in range(e):
-                        term = field.mul(term, x)
-                acc = field.add(acc, term)
-            if acc == field.zero:
+                        term = f.mul(term, x)
+                acc = f.add(acc, term)
+            if acc == f.zero:
                 total += 1
     return total
 
@@ -140,19 +173,20 @@ def naive_affine_chart_count(coeffs, field) -> int:
 def naive_blowup_count(field) -> int:
     """Points of {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} in P2 x P1.
 
-    Tests the incidence equation at every pair of chart representatives.
+    Tests the incidence equation at every pair of chart representatives,
+    in an OracleField with field's p, k and modulus.
     """
-    els = list(field.elements())
+    f = OracleField(field.p, field.k, field.modulus)
 
     def reps(n):
         for pivot in range(n + 1):
-            for tail in itertools.product(els, repeat=n - pivot):
-                yield (field.zero,) * pivot + (field.one,) + tail
+            for tail in itertools.product(f.elements, repeat=n - pivot):
+                yield (f.zero,) * pivot + (f.one,) + tail
 
     lines = list(reps(1))
     n = 0
     for x in reps(2):
         for y in lines:
-            if field.mul(x[1], y[1]) == field.mul(x[2], y[0]):
+            if f.mul(x[1], y[1]) == f.mul(x[2], y[0]):
                 n += 1
     return n

@@ -22,6 +22,7 @@ from surftop.errors import (
     DefiniteEvenUnrealizableError,
     DefiniteNotClassifiedError,
     DegenerateFormError,
+    EmptyFormError,
     InconsistentEvenSignatureError,
     NotUnimodularError,
 )
@@ -113,6 +114,23 @@ class TestClassifyForm:
         for mode in (ABSTRACT, SMOOTH):
             with pytest.raises(InconsistentEvenSignatureError):
                 classify_form(synthetic, mode)
+
+
+class TestRejectionMessages:
+    def test_rank_zero_is_named(self):
+        with pytest.raises(EmptyFormError, match="^classification requires rank >= 1$"):
+            classify_form(FormInvariants(0, 0, 0, 0, Parity.EVEN, 1), SMOOTH)
+
+    def test_small_determinant_in_digits(self):
+        with pytest.raises(NotUnimodularError, match=r"^determinant -3 is not \+/-1$"):
+            classify_form(_inv(2, 0, Parity.ODD, -3), ABSTRACT)
+
+    @pytest.mark.parametrize("rank, det", [(1, 7**6000), (2, -(7**6000))], ids=["positive", "negative"])
+    def test_determinant_past_digit_limit_by_bit_length(self, rank, det):
+        # 5071 decimal digits, more than str() converts by default
+        expected = rf"^determinant of {abs(det).bit_length()} bits is not \+/-1$"
+        with pytest.raises(NotUnimodularError, match=expected):
+            classify_form(_inv(rank, 2 - rank, Parity.ODD, det), ABSTRACT)
 
 
 class TestClassifyGram:

@@ -213,3 +213,27 @@ class TestMalformedGramFile:
         content = b"\xff\xfe" + json.dumps({"n": 2, "entries": [[0, 1], [1, 0]]}).encode()
         code, err = self.classify(tmp_path, capsys, content)
         assert code == 1 and err.startswith("InvalidInput")
+
+
+class TestWellFormedRejections:
+    """Well-formed Gram files that used to exit 2 as usage errors."""
+
+    def classify(self, tmp_path, capsys, obj, flags):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(obj))
+        code = main(["classify", "--gram", str(path), *flags])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.err
+
+    @pytest.mark.parametrize("flags", [[], ["--smooth"]])
+    def test_rank_zero(self, tmp_path, capsys, flags):
+        code, err = self.classify(tmp_path, capsys, {"n": 0, "entries": []}, flags)
+        assert (code, err) == (1, "EmptyForm: classification requires rank >= 1\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--smooth"]])
+    def test_determinant_past_digit_limit(self, tmp_path, capsys, flags):
+        a = int("7" * 3000)  # the determinant -a^2 has 6000 digits
+        code, err = self.classify(tmp_path, capsys, {"n": 2, "entries": [[0, a], [a, 0]]}, flags)
+        assert code == 1
+        assert err == f"NotUnimodular: determinant of {(a * a).bit_length()} bits is not +/-1\n"

@@ -166,6 +166,33 @@ class TestCatalog:
             assert (s.c1_sq + s.c2) % 12 == 0
             assert (s.c1_sq - 2 * s.c2) % 3 == 0
 
+    def test_records_in_order(self):
+        # written out by hand, independently of the hypersurface/blow_up formulas
+        assert [(s.name, s.c1_sq, s.c2, s.spin) for s in catalog()] == [
+            ("P2", 9, 3, False),
+            ("P1xP1", 8, 4, True),
+            ("Bl1P2", 8, 4, False),
+            ("Bl2P2", 7, 5, False),
+            ("Bl3P2", 6, 6, False),
+            ("Bl4P2", 5, 7, False),
+            ("Bl5P2", 4, 8, False),
+            ("Bl6P2", 3, 9, False),
+            ("Bl7P2", 2, 10, False),
+            ("Bl8P2", 1, 11, False),
+            ("Bl9P2", 0, 12, False),
+            ("deg1", 9, 3, False),
+            ("deg2", 8, 4, True),
+            ("deg3", 3, 9, False),
+            ("deg4", 0, 24, True),
+            ("deg5", 5, 55, False),
+            ("deg6", 24, 108, True),
+        ]
+
+    def test_every_alias(self):
+        aliases = {"BlP2": "Bl1P2", "K3": "deg4", "Quadric": "deg2", "Cubic": "deg3"}
+        for alias, name in aliases.items():
+            assert catalog_lookup(alias) is catalog_lookup(name)
+
     def test_blowup_entries_match_constructor(self):
         p2 = catalog_lookup("P2")
         for k in range(1, 10):

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from oracles import naive_affine_chart_count, naive_blowup_count
+from oracles import OracleField, naive_affine_chart_count, naive_blowup_count
 from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
 from surftop.surfaces import compute_invariants, catalog_lookup
 from surftop.zeta import (
@@ -414,3 +414,24 @@ class TestAtTheCap:
                 continue
             b2 = compute_invariants(catalog_lookup(model_surface_name(variety))).b2
             assert weil_bound_check(count_variety(variety, f), b2), variety
+
+
+class TestOracleField:
+    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
+    def test_every_nonzero_element_is_a_unit(self, p, k):
+        f = build_field(p, k)
+        o = OracleField(p, k, f.modulus)
+        for x in o.elements:
+            if x != o.zero:
+                acc = o.one
+                for _ in range(f.q - 1):
+                    acc = o.mul(acc, x)
+                assert acc == o.one, x
+
+    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
+    def test_products_agree_with_field(self, p, k):
+        f = build_field(p, k)
+        o = OracleField(p, k, f.modulus)
+        for a in o.elements:
+            for b in o.elements:
+                assert f.mul(a, b) == o.mul(a, b), (a, b)
