@@ -20,6 +20,7 @@ from .errors import (
     EmptyFormError,
     InconsistentEvenSignatureError,
     NotUnimodularError,
+    int_text,
 )
 from .lattice import FormInvariants, GramMatrix, Parity, block_diag, diag, invariants
 
@@ -123,11 +124,7 @@ def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:
     if inv.determinant == 0:
         raise DegenerateFormError("form is degenerate (determinant 0)")
     if inv.determinant not in (1, -1):
-        try:
-            det = str(inv.determinant)
-        except ValueError:  # more digits than int-to-str conversion allows
-            det = f"of {inv.determinant.bit_length()} bits"
-        raise NotUnimodularError(f"determinant {det} is not +/-1")
+        raise NotUnimodularError(f"determinant {int_text(inv.determinant)} is not +/-1")
     if inv.rank < 1:
         raise EmptyFormError("classification requires rank >= 1")
     r, s = inv.rank, inv.signature

@@ -114,19 +114,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         action="store_true",
         help="assume the form is realized by a smooth 4-manifold (enables definite classification)",
     )
-    p_classify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_surface = sub.add_parser("surface", help="invariants and form class of a surface")
     p_surface.add_argument("--name", help="catalog surface name")
     p_surface.add_argument("--c1sq", type=int, help="c1^2 of the surface")
     p_surface.add_argument("--c2", type=int, help="topological Euler number")
     p_surface.add_argument("--spin", action="store_true", help="canonical class divisible by 2")
-    p_surface.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_compare = sub.add_parser("compare", help="decide oriented homeomorphism of two surfaces")
     p_compare.add_argument("--a", required=True, metavar="SPEC", help="catalog name or 'c1sq,c2[,spin]'")
     p_compare.add_argument("--b", required=True, metavar="SPEC", help="catalog name or 'c1sq,c2[,spin]'")
-    p_compare.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_cex = sub.add_parser(
         "counterexample",
@@ -134,13 +131,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     )
     p_cex.add_argument("--primes", required=True, type=_primes_list, metavar="P1,P2,...")
     p_cex.add_argument("--degrees", type=int, default=2, choices=(1, 2, 3))
-    p_cex.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_count = sub.add_parser("count", help="count points of a shipped model over GF(p^k)")
     p_count.add_argument("--variety", required=True, help="P1xP1, Bl1P2, or fermat1..fermat6")
     p_count.add_argument("--p", required=True, type=int, help="field characteristic")
     p_count.add_argument("--k", type=int, default=1, help="extension degree (1..3)")
-    p_count.add_argument("--json", action="store_true", help="machine-readable output")
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     args = parser.parse_args(argv)
     if args.command == "surface" and args.name is None and (

@@ -1,8 +1,9 @@
 """Domain error hierarchy.
 
 Every rejection the library can make carries a stable machine-readable
-name (the ``name`` class attribute), so front ends can map failures to
-diagnostics without parsing message text.
+name (the ``name`` class attribute: the class name without ``Error``),
+so front ends can map failures to diagnostics without parsing message
+text.
 """
 
 from __future__ import annotations
@@ -13,23 +14,21 @@ class DomainError(Exception):
 
     name = "DomainError"
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.name = cls.__name__.removesuffix("Error")
+
 
 class DegenerateFormError(DomainError):
     """The form has determinant 0 and cannot be classified."""
-
-    name = "DegenerateForm"
 
 
 class EmptyFormError(DomainError, ValueError):
     """The form has rank 0; a ValueError too, as the unnamed error it replaced."""
 
-    name = "EmptyForm"
-
 
 class NotUnimodularError(DomainError):
     """The form's determinant is not +1 or -1."""
-
-    name = "NotUnimodular"
 
 
 class DefiniteNotClassifiedError(DomainError):
@@ -40,16 +39,12 @@ class DefiniteNotClassifiedError(DomainError):
     smooth-realizability hypothesis.
     """
 
-    name = "DefiniteNotClassified"
-
 
 class InconsistentEvenSignatureError(DomainError):
     """Even unimodular invariants with signature not divisible by 8.
 
     No such form exists; the input data is corrupted.
     """
-
-    name = "InconsistentEvenSignature"
 
 
 class DefiniteEvenUnrealizableError(DomainError):
@@ -59,34 +54,31 @@ class DefiniteEvenUnrealizableError(DomainError):
     definite input cannot come from a smooth simply-connected 4-manifold.
     """
 
-    name = "DefiniteEvenUnrealizable"
-
 
 class InvalidSurfaceError(DomainError):
     """Surface data violating an integrality or positivity constraint."""
-
-    name = "InvalidSurface"
 
 
 class NotPrimeError(DomainError):
     """Field characteristic is not prime."""
 
-    name = "NotPrime"
-
 
 class UnsupportedDegreeError(DomainError):
     """Field extension degree outside the supported range 1..3."""
-
-    name = "UnsupportedDegree"
 
 
 class ZeroFormError(DomainError):
     """Hypersurface form vanishes identically mod p."""
 
-    name = "ZeroForm"
-
 
 class InvalidInputError(DomainError):
     """Malformed input file or object (bad JSON, wrong schema, asymmetry)."""
 
-    name = "InvalidInput"
+
+def int_text(n: int) -> str:
+    """n in decimal for a message, or "of N bits" when it has more digits
+    than int-to-str conversion allows."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"of {n.bit_length()} bits"

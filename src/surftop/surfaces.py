@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .classification import ClassificationMode, FormClass, classify_form
-from .errors import InvalidSurfaceError
+from .errors import InvalidSurfaceError, int_text
 from .lattice import FormInvariants, Parity
 
 # convenience spellings accepted by name lookup
@@ -51,15 +51,12 @@ def compute_invariants(s: SurfaceData) -> SurfaceInvariants:
     """
     c1, c2 = s.c1_sq, s.c2
     if (c1 + c2) % 12 != 0:
-        raise InvalidSurfaceError(f"{s.name}: c1^2 + c2 = {c1 + c2} not divisible by 12")
+        raise InvalidSurfaceError(f"{s.name}: c1^2 + c2 = {int_text(c1 + c2)} not divisible by 12")
     if c2 < 3:
         raise InvalidSurfaceError(f"{s.name}: c2 = {c2} < 3, no room for a hyperplane class")
-    if (c1 - 2 * c2) % 3 != 0:
-        raise InvalidSurfaceError(f"{s.name}: c1^2 - 2 c2 = {c1 - 2 * c2} not divisible by 3")
+    # 12 | c1^2 + c2 makes sigma integral and b2 + sigma = 4 chi(O) - 2 even
     sigma = (c1 - 2 * c2) // 3
     b2 = c2 - 2
-    if (b2 + sigma) % 2 != 0:
-        raise InvalidSurfaceError(f"{s.name}: signature {sigma} and b2 {b2} differ mod 2")
     b_plus = (b2 + sigma) // 2
     b_minus = (b2 - sigma) // 2
     if b_plus < 1:

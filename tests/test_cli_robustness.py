@@ -237,3 +237,28 @@ class TestWellFormedRejections:
         code, err = self.classify(tmp_path, capsys, {"n": 2, "entries": [[0, a], [a, 0]]}, flags)
         assert code == 1
         assert err == f"NotUnimodular: determinant of {(a * a).bit_length()} bits is not +/-1\n"
+
+
+class TestHugeSurfaceSums:
+    """Surface numbers whose sum c1^2 + c2 has more digits than str() converts
+    used to exit 2 as usage errors."""
+
+    N = "9" * 4300
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--c1sq", N, "--c2", N],
+            ["surface", "--c1sq", "1", "--c2", N],
+            ["compare", "--a", f"{N},{N}", "--b", "K3"],
+        ],
+        ids=["surface N N", "surface 1 N", "compare N,N K3"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_invalid_surface(self, capsys, argv, flags):
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("InvalidSurface: ")
+        assert captured.err.endswith(" bits not divisible by 12\n")

@@ -1,0 +1,55 @@
+"""The stable names of the domain errors, which front ends print and match on."""
+
+import pytest
+
+from surftop import errors
+from surftop.errors import DomainError, EmptyFormError, int_text
+
+# written by hand from the explicit `name = ...` lines errors.py had before
+# the names were derived from the class names
+NAMES = {
+    "DegenerateFormError": "DegenerateForm",
+    "EmptyFormError": "EmptyForm",
+    "NotUnimodularError": "NotUnimodular",
+    "DefiniteNotClassifiedError": "DefiniteNotClassified",
+    "InconsistentEvenSignatureError": "InconsistentEvenSignature",
+    "DefiniteEvenUnrealizableError": "DefiniteEvenUnrealizable",
+    "InvalidSurfaceError": "InvalidSurface",
+    "NotPrimeError": "NotPrime",
+    "UnsupportedDegreeError": "UnsupportedDegree",
+    "ZeroFormError": "ZeroForm",
+    "InvalidInputError": "InvalidInput",
+}
+
+
+def test_base_name():
+    assert DomainError.name == "DomainError"
+
+
+@pytest.mark.parametrize("cls, name", sorted(NAMES.items()))
+def test_subclass_name(cls, name):
+    assert getattr(errors, cls).name == name
+    assert getattr(errors, cls)("message").name == name
+
+
+def test_every_subclass_is_pinned():
+    assert sorted(c.__name__ for c in DomainError.__subclasses__()) == sorted(NAMES)
+
+
+def test_empty_form_is_still_a_value_error():
+    assert issubclass(EmptyFormError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (0, "0"),
+        (-3, "-3"),
+        (10**4299, "1" + "0" * 4299),  # 4300 digits, the most str() converts
+        (10**4300, "of 14285 bits"),
+        (-(7**6000), "of 16845 bits"),
+    ],
+    ids=["zero", "negative", "4300 digits", "4301 digits", "negative 5071 digits"],
+)
+def test_int_text(n, text):
+    assert int_text(n) == text

@@ -1,0 +1,94 @@
+"""The `surftop` package namespace: its public names and their lazy loading."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import surftop
+from surftop import classification, errors, lattice, surfaces, zeta
+
+# written by hand from the re-export blocks the package had before it loaded lazily
+PUBLIC = {
+    classification: {
+        "E8", "HYPERBOLIC", "ClassificationMode", "DefiniteDiagonal", "FormClass",
+        "IndefiniteEven", "IndefiniteOdd", "canonical_gram", "classify_form",
+        "classify_gram", "describe", "forms_isomorphic",
+    },
+    errors: {"DomainError"},
+    lattice: {
+        "FormInvariants", "GramMatrix", "Parity", "block_diag", "brute_force_isometry",
+        "determinant", "diag", "invariants", "is_unimodular", "parity",
+        "random_unimodular_transform",
+    },
+    surfaces: {
+        "SurfaceData", "SurfaceInvariants", "blow_up", "catalog", "catalog_lookup",
+        "compute_invariants", "homeomorphic", "hypersurface", "intersection_form_class",
+    },
+    zeta: {
+        "FiniteField", "PointCount", "ZetaData", "build_field", "count_blowup_p2",
+        "count_hypersurface_p3", "count_p1xp1", "count_variety", "counterexample_report",
+        "fermat_form", "weil_bound_check", "zeta_counts",
+    },
+}
+OWNER = {name: module for module, names in PUBLIC.items() for name in names}
+
+
+def test_all_lists_the_45_public_names():
+    assert len(OWNER) == 45
+    assert len(surftop.__all__) == 45
+    assert set(surftop.__all__) == set(OWNER)
+
+
+@pytest.mark.parametrize("name", sorted(OWNER))
+def test_name_resolves_to_its_module_attribute(name):
+    assert getattr(surftop, name) is getattr(OWNER[name], name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from surftop import *", namespace)
+    assert {name: namespace[name] for name in OWNER} == {
+        name: getattr(module, name) for name, module in OWNER.items()
+    }
+
+
+def test_layer_modules_are_attributes():
+    assert surftop.zeta.MAX_Q == 343
+    for module in PUBLIC:
+        assert getattr(surftop, module.__name__.rpartition(".")[2]) is module
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        surftop.nope
+    assert not hasattr(surftop, "cli_main")
+
+
+def test_dir_lists_public_names():
+    assert set(OWNER) <= set(dir(surftop))
+
+
+def test_access_reads_the_module_each_time(monkeypatch):
+    surftop.determinant
+    assert "determinant" not in vars(surftop)
+    sentinel = object()
+    monkeypatch.setattr(lattice, "determinant", sentinel)
+    assert surftop.determinant is sentinel
+
+
+def test_importing_one_layer_loads_no_other():
+    code = (
+        "import sys, surftop.lattice; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'surftop')))"
+    )
+    src = str(Path(surftop.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["surftop", "surftop.lattice"]

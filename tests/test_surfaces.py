@@ -249,3 +249,35 @@ class TestSpinForcesSignatureMod8:
             return
         assert inv.sigma % 8 == 0
         assert inv.parity is Parity.EVEN
+
+
+class TestHugeSums:
+    """c1^2 + c2 with more digits than str() converts is named by bit length."""
+
+    N = int("9" * 4300)
+
+    @pytest.mark.parametrize("c1_sq, c2", [(N, N), (1, N)], ids=["N+N", "1+N"])
+    def test_named_by_bit_length(self, c1_sq, c2):
+        expected = rf"^big: c1\^2 \+ c2 = of {(c1_sq + c2).bit_length()} bits not divisible by 12$"
+        with pytest.raises(InvalidSurfaceError, match=expected):
+            compute_invariants(SurfaceData("big", c1_sq, c2, False))
+
+    def test_small_sum_in_digits(self):
+        with pytest.raises(InvalidSurfaceError, match=r"^noether: c1\^2 \+ c2 = 4 not divisible by 12$"):
+            compute_invariants(SurfaceData("noether", 1, 3, False))
+
+
+class TestDerivedInvariantsExact:
+    """Once 12 | c1^2 + c2, sigma = (c1^2 - 2 c2)/3 and b+- = (b2 +- sigma)/2
+    divide exactly, so compute_invariants needs no further divisibility check."""
+
+    def test_grid(self):
+        for c1_sq, c2 in itertools.product(range(-60, 61), range(3, 80)):
+            try:
+                inv = compute_invariants(SurfaceData("grid", c1_sq, c2, False))
+            except InvalidSurfaceError:
+                continue
+            assert 3 * inv.sigma == c1_sq - 2 * c2
+            assert inv.b_plus + inv.b_minus == inv.b2 == c2 - 2
+            assert inv.b_plus - inv.b_minus == inv.sigma
+            assert 12 * inv.chi_holo == c1_sq + c2
