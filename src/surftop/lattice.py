@@ -1,10 +1,10 @@
 """Exact linear algebra for symmetric integer bilinear forms.
 
-Everything here runs over arbitrary-precision integers (and exact
-rationals where division is unavoidable); no floating point is used
-anywhere. A form is carried by its Gram matrix in some integral basis,
-and all derived quantities (determinant, signature, parity) are basis
-invariants or computed by explicit congruence.
+Everything here runs over arbitrary-precision integers; no rationals
+and no floating point are used anywhere. A form is carried by its Gram
+matrix in some integral basis, and all derived quantities (determinant,
+signature, parity) are basis invariants. Determinant and signature come
+from one fraction-free symmetric elimination pass.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 
 class Parity(Enum):
@@ -120,34 +119,52 @@ def block_diag(*blocks: GramMatrix) -> GramMatrix:
     return GramMatrix.from_rows(rows)
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
+def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
+    """(b_plus, b_minus, determinant) by one symmetric Bareiss pass.
+
+    After step k, entry (i, j) is the minor on the leading pivot rows
+    plus row i and column j (Sylvester's identity; Bareiss, Math. Comp.
+    22, 1968), so every division is exact, the last pivot is the
+    determinant, and the matrix stays symmetric: only the upper triangle
+    is read or written. A zero pivot with a nonzero entry a_kj is
+    repaired by adding s * (row j, column j) into k, with s = +/-1 chosen
+    so the new pivot 2 s a_kj + a_jj is nonzero; the change of basis is
+    unimodular. A zero row is a kernel direction: it counts as neither
+    sign and makes the determinant 0. By Jacobi's rule the k-th diagonal
+    entry of the congruent diagonal form has the sign of pivot * previous
+    pivot.
+    """
+    n = m.n
+    a = [list(row) for row in m.entries]
+    pos = neg = 0
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    kernel = False
+    for k in range(n):
+        row = a[k]
+        if row[k] == 0:
+            j = next((j for j in range(k + 1, n) if row[j]), None)
+            if j is None:
+                kernel = True
+                continue
+            s = 1 if 2 * row[j] + a[j][j] else -1
+            row[k] = 2 * s * row[j] + a[j][j]
+            for t in range(k + 1, n):
+                row[t] += s * (a[j][t] if j <= t else a[t][j])
+        p = row[k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division: Bareiss guarantees prev | (a_ij*a_kk - a_ik*a_kj)
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            r, c = a[i], row[i]
+            r[i:] = [(x * p - c * y) // prev for x, y in zip(r[i:], row[i:])]
+        prev = p
+    return pos, neg, 0 if kernel else prev
 
 
 def determinant(m: GramMatrix) -> int:
     """Exact determinant; the empty form has determinant 1."""
-    return _bareiss_det([list(r) for r in m.entries])
+    return _eliminate(m)[2]
 
 
 def parity(m: GramMatrix) -> Parity:
@@ -165,54 +182,16 @@ def is_unimodular(m: GramMatrix) -> bool:
     return determinant(m) in (1, -1)
 
 
-def _congruence_signs(m: GramMatrix) -> tuple[int, int]:
-    """Count positive and negative diagonal entries after symmetric
-    congruence diagonalization over exact rationals (Sylvester's law).
-
-    A zero pivot with a nonzero off-diagonal entry in its row is repaired
-    by adding +/- that row and column into the pivot row and column; the
-    sign is chosen so the new pivot is nonzero (at least one choice works
-    since 2 is invertible in Q). A fully zero pivot row is a kernel
-    direction and contributes to neither count.
-    """
-    n = m.n
-    a = [[Fraction(v) for v in row] for row in m.entries]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-            if j is None:
-                continue
-            s = 1 if 2 * a[k][j] + a[j][j] != 0 else -1
-            for t in range(n):
-                a[k][t] += s * a[j][t]
-            for t in range(n):
-                a[t][k] += s * a[t][j]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f == 0:
-                continue
-            for t in range(n):
-                a[i][t] -= f * a[k][t]
-            for t in range(n):
-                a[t][i] -= f * a[t][k]
-    return pos, neg
-
-
 def invariants(m: GramMatrix) -> FormInvariants:
     """Full invariant tuple (rank, b+, b-, signature, parity, determinant)."""
-    pos, neg = _congruence_signs(m)
+    pos, neg, _ = _eliminate(m)
     return FormInvariants(
         rank=m.n,
         b_plus=pos,
         b_minus=neg,
         signature=pos - neg,
         parity=parity(m),
+        # a second pass: perfbench samples lattice.determinant_s from traced determinant() calls
         determinant=determinant(m),
     )
 
@@ -306,9 +285,10 @@ def brute_force_isometry(
             cols.append(v)
             a_cols.append(av)
             if i + 1 == n:
-                rows = [[cols[c][r] for c in range(n)] for r in range(n)]
-                if _bareiss_det(rows) in (1, -1):
-                    return tuple(tuple(r) for r in rows)
+                # det(P^T P) = det(P)^2, so P is unimodular iff this is 1
+                gram = tuple(tuple(sum(x * y for x, y in zip(u, v)) for v in cols) for u in cols)
+                if determinant(GramMatrix(gram)) == 1:
+                    return tuple(zip(*cols))
             else:
                 found = extend(i + 1)
                 if found is not None:

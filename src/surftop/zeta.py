@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .classification import class_to_dict
-from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
+from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text
 from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
 
 MAX_Q = 343
@@ -204,7 +204,7 @@ def projective_points(field: FiniteField, n: int):
 
 def _check_scale(q: int, max_q: int = MAX_Q):
     if q > max_q:
-        raise ValueError(f"q = {q} exceeds the enumeration cap {max_q}")
+        raise ValueError(f"q = {int_text(q)} exceeds the enumeration cap {max_q}")
 
 
 def _term_hist(field: FiniteField, c, powers) -> Counter:

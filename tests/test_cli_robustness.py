@@ -262,3 +262,18 @@ class TestHugeSurfaceSums:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("InvalidSurface: ")
         assert captured.err.endswith(" bits not divisible by 12\n")
+
+
+class TestHugeFieldSize:
+    """A q = p^k with more digits than str() converts used to print the
+    conversion error instead of the cap message."""
+
+    P = "9" * 1500
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_cap_message(self, capsys, flags):
+        code = main(["count", "--variety", "fermat4", "--p", self.P, "--k", "3"] + flags)
+        captured = capsys.readouterr()
+        bits = (int(self.P) ** 3).bit_length()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"usage error: q = of {bits} bits exceeds the enumeration cap 343\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,27 @@ from surftop.lattice import (
 )
 
 H = HYPERBOLIC
+
+
+def _deep_forms(count: int, max_rank: int = 12) -> list[GramMatrix]:
+    """Seeded block sums of H, E8, <0> and <+-1> up to max_rank, each under
+    a seeded unimodular change of basis. The first two are fixed so that
+    elimination repairs a zero pivot after the first step (with s = -1 in
+    the first, where H is written in the basis (e, f - e)) and meets a
+    kernel row followed by more pivots."""
+    forms = [
+        block_diag(diag(1), GramMatrix(((0, 1), (1, -2))), diag(0), diag(-1)),
+        block_diag(diag(0), E8, H, diag(-1)),
+    ]
+    rng = random.Random(12)
+    for seed in range(count - len(forms)):
+        blocks, left = [], rng.randint(1, max_rank)
+        while left:
+            b = rng.choice([b for b in (H, E8, diag(0), diag(1), diag(-1)) if b.n <= left])
+            blocks.append(b)
+            left -= b.n
+        forms.append(random_unimodular_transform(block_diag(*blocks), seed, steps=40))
+    return forms
 
 
 class TestGramMatrix:
@@ -141,6 +164,12 @@ class TestInvariants:
         inv = invariants(GramMatrix(()))
         assert inv == FormInvariants(0, 0, 0, 0, Parity.EVEN, 1)
 
+    @pytest.mark.parametrize("m", _deep_forms(20), ids=lambda m: f"rank{m.n}")
+    def test_deep_ranks_match_oracles(self, m):
+        inv = invariants(m)
+        assert inv.determinant == cofactor_determinant(m.entries)
+        assert (inv.b_plus, inv.b_minus) == signature_by_charpoly(m.entries)
+
     @given(gram_matrices(max_rank=4))
     def test_signature_matches_charpoly_signs(self, m):
         inv = invariants(m)
@@ -228,6 +257,10 @@ class TestBruteForceIsometry:
         assert p is not None
         assert _congruent(diag(1, -1), p) == b.entries
         assert cofactor_determinant(p) in (1, -1)
+
+    def test_skips_non_unimodular_candidates(self):
+        # every P maps <0> to <0>; the search order tries (-2) before (-1)
+        assert brute_force_isometry(diag(0), diag(0), 2) == ((-1,),)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):

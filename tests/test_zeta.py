@@ -354,6 +354,16 @@ class TestCheckOrder:
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
             counterexample_report([3, HUGE_PRIME], degrees=1)
 
+    def test_cap_message_names_huge_q_by_bit_length(self):
+        p = 10**1500 - 1  # q = p^3 has 4498 digits, past int-to-str conversion
+        msg = f"q = of {(p**3).bit_length()} bits exceeds the enumeration cap 343"
+        with pytest.raises(ValueError) as info:
+            build_field(p, 3, max_q=343)
+        assert str(info.value) == msg
+        with pytest.raises(ValueError) as info:
+            build_field(347, 1, max_q=343)
+        assert str(info.value) == "q = 347 exceeds the enumeration cap 343"
+
 
 def _diagonal_form(rng: random.Random, p: int, d: int, j: int) -> dict:
     """x_i^d terms: variable j % 4 missing, variable (j + 1) % 4 with a
