@@ -4,7 +4,8 @@ Subcommands map one-to-one onto library operations: `classify` a Gram
 matrix file, `surface` invariants by catalog name or raw numbers,
 `compare` two surfaces for oriented homeomorphism, `counterexample` for
 the equal-zeta / different-topology demonstration, and `count` points of
-a shipped model over GF(p^k).
+a shipped model over GF(p^k). Each runner imports the layers it uses
+when it runs, so a command loads only those: `count` loads `zeta` alone.
 
 Exit codes: 0 success, 1 expected domain rejections (the stable error
 name goes to stderr), 2 usage errors. With --json the single result
@@ -25,23 +26,7 @@ import json
 import sys
 from enum import Enum
 
-from .classification import (
-    ClassificationMode,
-    class_from_dict,
-    class_to_dict,
-    classify_form,
-    describe,
-)
 from .errors import DomainError, InvalidInputError
-from .lattice import GramMatrix, invariants
-from .surfaces import (
-    SurfaceData,
-    catalog_lookup,
-    compute_invariants,
-    homeomorphic,
-    intersection_form_class,
-)
-from .zeta import MAX_Q, build_field, count_variety, counterexample_report
 
 
 def _machine(obj) -> str:
@@ -53,7 +38,8 @@ def _fields(obj) -> dict:
     return {k: v.value if isinstance(v, Enum) else v for k, v in vars(obj).items()}
 
 
-def _load_gram(path: str) -> GramMatrix:
+def _load_gram(path: str):
+    from .lattice import GramMatrix
     try:
         with open(path, "r") as fh:
             return GramMatrix.from_dict(json.load(fh))
@@ -65,15 +51,17 @@ def _load_gram(path: str) -> GramMatrix:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def _catalog_surface(name: str) -> SurfaceData:
+def _catalog_surface(name: str):
+    from .surfaces import catalog_lookup
     try:
         return catalog_lookup(name)
     except KeyError as exc:
         raise InvalidInputError(str(exc)) from exc
 
 
-def _surface_spec(spec: str) -> SurfaceData:
-    """Catalog name, or inline 'c1sq,c2[,spin]'."""
+def _surface_spec(spec: str):
+    """The SurfaceData of a catalog name or of an inline 'c1sq,c2[,spin]'."""
+    from .surfaces import SurfaceData
     parts = spec.split(",")
     if len(parts) in (2, 3):
         try:
@@ -149,6 +137,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _run_classify(args) -> tuple[dict, list[str]]:
+    from .classification import ClassificationMode, class_to_dict, classify_form, describe
+    from .lattice import invariants
     m = _load_gram(args.gram)
     mode = (
         ClassificationMode.SMOOTH_FOUR_MANIFOLD
@@ -166,7 +156,9 @@ def _run_classify(args) -> tuple[dict, list[str]]:
     return {"invariants": _fields(inv), "class": class_to_dict(cls)}, text
 
 
-def _surface(s: SurfaceData) -> tuple[dict, list[str]]:
+def _surface(s) -> tuple[dict, list[str]]:
+    from .classification import class_to_dict, describe
+    from .surfaces import compute_invariants, intersection_form_class
     inv = compute_invariants(s)
     cls = intersection_form_class(s)
     payload = {"surface": _fields(s), "invariants": _fields(inv), "class": class_to_dict(cls)}
@@ -180,12 +172,14 @@ def _surface(s: SurfaceData) -> tuple[dict, list[str]]:
 
 
 def _run_surface(args) -> tuple[dict, list[str]]:
+    from .surfaces import SurfaceData
     if args.name is not None:
         return _surface(_catalog_surface(args.name))
     return _surface(SurfaceData(name="surface", c1_sq=args.c1sq, c2=args.c2, spin=args.spin))
 
 
 def _run_compare(args) -> tuple[dict, list[str]]:
+    from .surfaces import homeomorphic
     a = _surface_spec(args.a)
     b = _surface_spec(args.b)
     verdict = homeomorphic(a, b)
@@ -195,6 +189,8 @@ def _run_compare(args) -> tuple[dict, list[str]]:
 
 
 def _run_counterexample(args) -> tuple[dict, list[str]]:
+    from .classification import class_from_dict, describe
+    from .zeta import counterexample_report
     report = counterexample_report(args.primes, degrees=args.degrees)
     text = ["surfaces: P1xP1 vs Bl1P2 (P2 blown up at a point)"]
     for block in report["primes"]:
@@ -211,6 +207,7 @@ def _run_counterexample(args) -> tuple[dict, list[str]]:
 
 
 def _run_count(args) -> tuple[dict, list[str]]:
+    from .zeta import MAX_Q, build_field, count_variety
     field = build_field(args.p, args.k, max_q=MAX_Q)
     try:
         pc = count_variety(args.variety, field)

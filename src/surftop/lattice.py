@@ -215,6 +215,7 @@ def random_unimodular_transform(
         return m
     rng = random.Random(seed)
     a = [list(row) for row in m.entries]
+    wide = sum(abs(v) > max_entry for r in a for v in r)  # past the cap; 0 after an addition
     # additions do the real mixing; swaps and negations only reshuffle
     kinds = ("add", "add", "add", "swap", "negate") if n >= 2 else ("negate",)
     for _ in range(steps):
@@ -231,16 +232,19 @@ def random_unimodular_transform(
             for t in range(n):
                 a[t][i], a[t][j] = a[t][j], a[t][i]
         else:
+            # touches only row and column i; skipped if the new row or any other entry is past the cap
             i, j = rng.sample(range(n), 2)
             s = rng.choice((1, -1))
-            b = [r[:] for r in a]
-            for t in range(n):
-                b[i][t] += s * b[j][t]
-            for t in range(n):
-                b[t][i] += s * b[t][j]
-            if any(abs(v) > max_entry for r in b for v in r):
+            row = [x + s * y for x, y in zip(a[i], a[j])]
+            row[i] = a[i][i] + 2 * s * a[i][j] + a[j][j]
+            if any(abs(v) > max_entry for v in row) or (
+                wide and wide != 2 * sum(abs(v) > max_entry for v in a[i]) - (abs(a[i][i]) > max_entry)
+            ):
                 continue
-            a = b
+            a[i] = row
+            for t in range(n):
+                a[t][i] = row[t]
+            wide = 0
     return GramMatrix.from_rows(a)
 
 

@@ -35,11 +35,9 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .classification import class_to_dict
 from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text
-from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
 
 MAX_Q = 343
 
@@ -167,27 +165,25 @@ def build_field(p: int, k: int, max_q: int | None = None) -> FiniteField:
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 
-@dataclass(frozen=True)
-class PointCount:
+# named tuples, not dataclasses: `count` never imports dataclasses or inspect
+class PointCount(NamedTuple):
     variety: str
     q: int
     count: int
 
 
-@dataclass(frozen=True)
-class ZetaData:
+class ZetaData(NamedTuple("ZetaData", [("variety", str), ("p", int), ("counts", tuple)])):
     """Counts of one variety over q = p, p^2, ... (extensional zeta data)."""
 
-    variety: str
-    p: int
-    counts: tuple[PointCount, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        qs = [c.q for c in self.counts]
+    def __new__(cls, variety: str, p: int, counts: tuple[PointCount, ...]):
+        qs = [c.q for c in counts]
         if qs != sorted(set(qs)):
             raise ValueError("counts must be ordered by strictly increasing q")
-        if any(c.variety != self.variety for c in self.counts):
+        if any(c.variety != variety for c in counts):
             raise ValueError("counts must all concern the same variety")
+        return super().__new__(cls, variety, p, counts)
 
 
 def projective_points(field: FiniteField, n: int):
@@ -388,6 +384,8 @@ def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
         raise ValueError("need at least one prime")
     if not 1 <= degrees <= 3:
         raise ValueError("degrees must be between 1 and 3")
+    from .classification import class_to_dict
+    from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
     quadric = catalog_lookup("P1xP1")
     blowup = catalog_lookup("Bl1P2")
     homeo = homeomorphic(quadric, blowup)

@@ -9,12 +9,15 @@ mod 2, and point counts by chart-by-chart nested loops with no caching
 model), where production counts diagonal and separable equations by
 value distributions. The point counts do their field arithmetic in
 OracleField, built from p, k and the modulus alone, so a fault in the
-production field cannot show up on both sides of a comparison.
+production field cannot show up on both sides of a comparison. Seeded
+unimodular mixes are replayed by the whole-matrix loop that the O(n)
+addition step of random_unimodular_transform replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 
@@ -38,6 +41,43 @@ def cofactor_determinant(rows) -> int:
         return acc
 
     return minor((1 << n) - 1)
+
+
+def full_copy_unimodular_mix(rows, seed: int, steps: int, max_entry: int):
+    """The rows of random_unimodular_transform(GramMatrix(rows), seed, steps,
+    max_entry), by the loop it used to run: every addition builds a whole
+    new matrix and checks all n^2 entries against max_entry."""
+    n = len(rows)
+    if n == 0 or steps == 0:
+        return [list(row) for row in rows]
+    rng = random.Random(seed)
+    a = [list(row) for row in rows]
+    kinds = ("add", "add", "add", "swap", "negate") if n >= 2 else ("negate",)
+    for _ in range(steps):
+        kind = rng.choice(kinds)
+        if kind == "negate":
+            i = rng.randrange(n)
+            for t in range(n):
+                a[i][t] = -a[i][t]
+            for t in range(n):
+                a[t][i] = -a[t][i]
+        elif kind == "swap":
+            i, j = rng.sample(range(n), 2)
+            a[i], a[j] = a[j], a[i]
+            for t in range(n):
+                a[t][i], a[t][j] = a[t][j], a[t][i]
+        else:
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((1, -1))
+            b = [r[:] for r in a]
+            for t in range(n):
+                b[i][t] += s * b[j][t]
+            for t in range(n):
+                b[t][i] += s * b[t][j]
+            if any(abs(v) > max_entry for r in b for v in r):
+                continue
+            a = b
+    return a
 
 
 def _padd(a, b):

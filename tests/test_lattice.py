@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     cofactor_determinant,
+    full_copy_unimodular_mix,
     parity_by_enumeration,
     signature_by_charpoly,
 )
@@ -240,6 +241,46 @@ class TestRandomUnimodularTransform:
     @settings(max_examples=60)
     def test_invariants_preserved(self, m, seed, steps):
         assert invariants(random_unimodular_transform(m, seed, steps)) == invariants(m)
+
+
+# (form, max_entry): ranks 1, 2 and 12, caps that skip additions, and inputs
+# that already hold entries past the cap
+WIDE = GramMatrix(((4, 4), (4, 52)))
+MIX_CASES = [
+    (diag(5), 10**6),
+    (diag(5), 3),
+    (H, 10**6),
+    (H, 2),
+    (WIDE, 50),
+    (block_diag(E8, H, diag(1, -1)), 10**6),
+    (block_diag(E8, H, diag(1, -1)), 4),
+    (block_diag(E8, WIDE, H), 50),
+]
+
+
+class TestMixMatchesFullCopyLoop:
+    """random_unimodular_transform against the whole-matrix loop it replaced."""
+
+    @pytest.mark.parametrize("steps", [1, 7, 60, 400])
+    @pytest.mark.parametrize("m, max_entry", MIX_CASES)
+    def test_same_matrix(self, m, max_entry, steps):
+        for seed in range(10):
+            got = random_unimodular_transform(m, seed, steps, max_entry)
+            want = full_copy_unimodular_mix(m.entries, seed, steps, max_entry)
+            assert [list(r) for r in got.entries] == want
+
+    def test_small_cap_skips_additions(self):
+        m = block_diag(E8, H, diag(1, -1))
+        assert any(
+            random_unimodular_transform(m, seed, 60, 4) != random_unimodular_transform(m, seed, 60)
+            for seed in range(10)
+        )
+
+    def test_input_past_the_cap_takes_and_refuses_additions(self):
+        # WIDE's 52 goes with i = 1, j = 0, s = -1; i = 0 would leave it outside row 0
+        mixes = [random_unimodular_transform(WIDE, seed, 7, 50) for seed in range(40)]
+        widest = {max(abs(v) for r in m.entries for v in r) for m in mixes}
+        assert min(widest) <= 50 < max(widest)
 
 
 class TestBruteForceIsometry:

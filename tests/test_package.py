@@ -105,3 +105,57 @@ def test_cli_start_loads_no_rational_arithmetic():
         check=True,
     ).stdout
     assert out.split() == []
+
+
+def _loaded_by(argv: list[str], cwd: Path) -> tuple[list[str], list[str]]:
+    """(surftop modules, of dataclasses and inspect those loaded) after a
+    fresh process runs surftop.cli.main(argv) with stdout captured."""
+    code = (
+        "import contextlib, io, sys, surftop.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = surftop.cli.main({argv!r})\n"
+        "assert code == 0, code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'surftop')))\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    src = str(Path(surftop.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        cwd=cwd,
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    layers, stdlib = out.split("\n")[:2]
+    return layers.split(), stdlib.split()
+
+
+def test_count_loads_only_zeta(tmp_path):
+    layers, stdlib = _loaded_by(["count", "--variety", "fermat4", "--p", "5"], tmp_path)
+    assert layers == ["surftop", "surftop.cli", "surftop.errors", "surftop.zeta"]
+    assert stdlib == []
+
+
+def test_surface_loads_no_zeta(tmp_path):
+    layers, _ = _loaded_by(["surface", "--name", "K3"], tmp_path)
+    assert layers == [
+        "surftop", "surftop.classification", "surftop.cli", "surftop.errors",
+        "surftop.lattice", "surftop.surfaces",
+    ]
+
+
+def test_classify_loads_no_zeta(tmp_path):
+    (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
+    layers, _ = _loaded_by(["classify", "--gram", "h.json"], tmp_path)
+    assert layers == [
+        "surftop", "surftop.classification", "surftop.cli", "surftop.errors", "surftop.lattice",
+    ]
+
+
+def test_counterexample_loads_every_layer(tmp_path):
+    layers, _ = _loaded_by(["counterexample", "--primes", "2", "--degrees", "1"], tmp_path)
+    assert layers == [
+        "surftop", "surftop.classification", "surftop.cli", "surftop.errors",
+        "surftop.lattice", "surftop.surfaces", "surftop.zeta",
+    ]

@@ -271,6 +271,52 @@ class TestZetaData:
             ZetaData("v", 2, (good, PointCount("w", 4, 1)))
 
 
+class TestRecordBehaviour:
+    """What callers see of the two zeta records, whatever implements them."""
+
+    def test_repr_bytes(self):
+        pc = PointCount("P1xP1", 3, 16)
+        assert repr(pc) == "PointCount(variety='P1xP1', q=3, count=16)"
+        z = ZetaData("v", 2, (PointCount("v", 2, 1), PointCount("v", 4, 9)))
+        assert repr(z) == (
+            "ZetaData(variety='v', p=2, counts=(PointCount(variety='v', q=2, count=1), "
+            "PointCount(variety='v', q=4, count=9)))"
+        )
+
+    def test_keyword_and_positional_construction(self):
+        pc = PointCount(variety="v", q=2, count=1)
+        assert pc == PointCount("v", 2, 1)
+        assert (pc.variety, pc.q, pc.count) == ("v", 2, 1)
+        z = ZetaData(variety="v", p=2, counts=(pc,))
+        assert z == ZetaData("v", 2, (pc,))
+        assert (z.variety, z.p, z.counts) == ("v", 2, (pc,))
+
+    def test_equality_and_hash(self):
+        assert PointCount("v", 2, 1) != PointCount("v", 2, 2)
+        assert hash(PointCount("v", 2, 1)) == hash(PointCount("v", 2, 1))
+        a = zeta_counts("P1xP1", 2, 2)
+        b = ZetaData("P1xP1", 2, (PointCount("P1xP1", 2, 9), PointCount("P1xP1", 4, 25)))
+        assert a == b and hash(a) == hash(b)
+        assert a != ZetaData("P1xP1", 3, b.counts)
+
+    @pytest.mark.parametrize("attr", ["variety", "q", "count"])
+    def test_point_count_is_read_only(self, attr):
+        with pytest.raises(AttributeError):
+            setattr(PointCount("v", 2, 1), attr, 0)
+
+    @pytest.mark.parametrize("attr", ["variety", "p", "counts"])
+    def test_zeta_data_is_read_only(self, attr):
+        with pytest.raises(AttributeError):
+            setattr(ZetaData("v", 2, ()), attr, 0)
+
+    def test_validation_messages(self):
+        good = PointCount("v", 2, 1)
+        with pytest.raises(ValueError, match="^counts must be ordered by strictly increasing q$"):
+            ZetaData("v", 2, (good, good))
+        with pytest.raises(ValueError, match="^counts must all concern the same variety$"):
+            ZetaData(variety="v", p=2, counts=(PointCount("w", 2, 1),))
+
+
 class TestCounterexampleReport:
     def test_primes_3_degrees_2(self):
         report = counterexample_report([3], degrees=2)
