@@ -192,12 +192,13 @@ def _run_counterexample(args) -> tuple[dict, list[str]]:
     from .classification import class_from_dict, describe
     from .zeta import counterexample_report
     report = counterexample_report(args.primes, degrees=args.degrees)
-    text = ["surfaces: P1xP1 vs Bl1P2 (P2 blown up at a point)"]
+    a, b = report["surfaces"]
+    text = [f"surfaces: {a} vs {b} (P2 blown up at a point)"]
     for block in report["primes"]:
         for row in block["counts"]:
             mark = "==" if row["equal"] else "!="
-            text.append(f"  q = {row['q']:>4}: {row['P1xP1']:>8} {mark} {row['Bl1P2']:>8}")
-    ca, cb = (describe(class_from_dict(report["form_classes"][n])) for n in ("P1xP1", "Bl1P2"))
+            text.append(f"  q = {row['q']:>4}: {row[a]:>8} {mark} {row[b]:>8}")
+    ca, cb = (describe(class_from_dict(report["form_classes"][n])) for n in (a, b))
     text += [
         f"intersection forms: {ca} vs {cb}",
         f"homeomorphic: {report['homeomorphic']}",
@@ -207,8 +208,8 @@ def _run_counterexample(args) -> tuple[dict, list[str]]:
 
 
 def _run_count(args) -> tuple[dict, list[str]]:
-    from .zeta import MAX_Q, build_field, count_variety
-    field = build_field(args.p, args.k, max_q=MAX_Q)
+    from .zeta import build_field, count_variety
+    field = build_field(args.p, args.k)
     try:
         pc = count_variety(args.variety, field)
     except KeyError as exc:

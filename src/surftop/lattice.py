@@ -47,7 +47,7 @@ class GramMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "GramMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(rows)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "entries": [list(row) for row in self.entries]}
@@ -65,7 +65,7 @@ class GramMatrix:
             raise ValueError("'entries' must be a list of n rows")
         if any(not isinstance(row, list) for row in entries):
             raise ValueError("'entries' rows must be lists")
-        return cls(tuple(tuple(row) for row in entries))
+        return cls(entries)
 
 
 @dataclass(frozen=True)

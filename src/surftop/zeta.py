@@ -21,13 +21,13 @@ implementation. Two methods are used:
   nonzero coordinate 1), for P1 x P1 and for every hypersurface in P3
   with a mixed monomial.
 
-The cap q <= MAX_Q = 343 bounds the work. It is a constant, with no
-default for a caller to raise: at the cap a value-distribution count
-takes under a second, while enumeration would visit about 4 * 10^7
-representatives of P3. The cap is checked before the characteristic is
-tested for primality. Smoothness of user-supplied forms mod p is not
-verified; Weil-bound checks are authoritative only for the shipped
-models at their good primes.
+The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
+at the cap a value-distribution count takes under a second, while
+enumeration would visit about 4 * 10^7 representatives of P3.
+build_field refuses q > MAX_Q for every caller, before it tests p for
+primality; each counter refuses a FiniteField built directly over the
+cap. Smoothness of user-supplied forms mod p is not verified; Weil-bound
+checks are authoritative only for the shipped models at good primes.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     return False
 
 
-def build_field(p: int, k: int, max_q: int | None = None) -> FiniteField:
+def build_field(p: int, k: int) -> FiniteField:
     """Deterministic field constructor.
 
     For k >= 2 the modulus is the first monic irreducible of degree k in
@@ -147,13 +147,12 @@ def build_field(p: int, k: int, max_q: int | None = None) -> FiniteField:
     irreducibility for degree <= 3 is exactly the absence of roots.
 
     The checks run cheapest first: the degree, then q = p^k against
-    max_q (when given), then the trial-division primality test, so a
-    huge p over the cap is refused without being factored.
+    MAX_Q, then the trial-division primality test, so every caller has
+    q > MAX_Q refused, and a huge p is refused without being factored.
     """
     if not 1 <= k <= 3:
         raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
-    if max_q is not None:
-        _check_scale(p**k, max_q)
+    _check_scale(p**k)
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if k == 1:
@@ -188,19 +187,15 @@ class ZetaData(NamedTuple("ZetaData", [("variety", str), ("p", int), ("counts", 
 
 def projective_points(field: FiniteField, n: int):
     """Normalized representatives of P^n: first nonzero coordinate is 1."""
-    one = field.one
-    zero = field.zero
     for pivot in range(n + 1):
-        prefix = (zero,) * pivot + (one,)
-        for tail in itertools.product(
-            itertools.product(range(field.p), repeat=field.k), repeat=n - pivot
-        ):
+        prefix = (field.zero,) * pivot + (field.one,)
+        for tail in itertools.product(field.elements(), repeat=n - pivot):
             yield prefix + tail
 
 
-def _check_scale(q: int, max_q: int = MAX_Q):
-    if q > max_q:
-        raise ValueError(f"q = {int_text(q)} exceeds the enumeration cap {max_q}")
+def _check_scale(q: int):
+    if q > MAX_Q:
+        raise ValueError(f"q = {int_text(q)} exceeds the enumeration cap {MAX_Q}")
 
 
 def _term_hist(field: FiniteField, c, powers) -> Counter:
@@ -208,14 +203,15 @@ def _term_hist(field: FiniteField, c, powers) -> Counter:
     return Counter(field.mul(c, v) for v in powers)
 
 
-def _affine_zeros(field: FiniteField, hists) -> int:
-    """Zeros in F_q^n of f_1(x_1) + ... + f_n(x_n).
+def _projective_zeros(field: FiniteField, hists) -> int:
+    """Zeros in P^(n-1) of a homogeneous f_1(x_1) + ... + f_n(x_n).
 
     Each f_i is given as the histogram of its values over the field
     (value -> number of x with f_i(x) = value). The histograms are
     convolved under field.add, smallest support first; the last one is
     only paired against the negated partial sums, since only the weight
-    of the total at 0 is needed.
+    N_aff of the total at 0 is needed: the N_aff - 1 nonzero zeros lie on
+    (N_aff - 1) / (q - 1) lines through the origin.
     """
     *rest, last = sorted(hists, key=len)
     add = field.add
@@ -228,7 +224,8 @@ def _affine_zeros(field: FiniteField, hists) -> int:
                 nxt[s] = nxt.get(s, 0) + m * n
         acc = nxt
     neg = field.neg
-    return sum(m * last.get(neg(a), 0) for a, m in acc.items())
+    n_aff = sum(m * last.get(neg(a), 0) for a, m in acc.items())
+    return (n_aff - 1) // (field.q - 1)
 
 
 def count_p1xp1(field: FiniteField) -> PointCount:
@@ -244,7 +241,7 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
 
     The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1.
     For each y the equation 0 * x0 + y1 x1 - y0 x2 = 0 is separable in x,
-    so its points in P2 are its nonzero affine zeros over q - 1.
+    so its points in P2 come from the value distributions of its terms.
     """
     _check_scale(field.q)
     xs = list(field.elements())
@@ -252,7 +249,7 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
     n = 0
     for y0, y1 in projective_points(field, 1):
         hists = [linear_hist(field.zero), linear_hist(y1), linear_hist(field.neg(y0))]
-        n += (_affine_zeros(field, hists) - 1) // (field.q - 1)
+        n += _projective_zeros(field, hists)
     return PointCount(variety="Bl1P2", q=field.q, count=n)
 
 
@@ -266,7 +263,7 @@ def count_hypersurface_p3(
     coeffs maps exponent quadruples to integer coefficients; they are
     reduced mod p, and a form vanishing identically mod p is refused.
     A diagonal form (every monomial a power of one variable) is counted
-    from the value distributions of its terms: (N_aff - 1)/(q - 1) points.
+    from the value distributions of its terms.
     Every other form is counted by full enumeration of the q^3+q^2+q+1
     points of P3: a cubic with a mixed monomial takes about 4.5 s at
     q = 49 on a 2-vCPU Xeon VM, and about 25 min (extrapolated) at the
@@ -290,7 +287,7 @@ def count_hypersurface_p3(
         for e, c in terms:
             i = next(i for i, x in enumerate(e) if x)
             hists[i] = _term_hist(field, c, powers[e[i]].values())
-        n = (_affine_zeros(field, hists) - 1) // (field.q - 1)
+        n = _projective_zeros(field, hists)
         return PointCount(variety=variety, q=field.q, count=n)
     one = field.one
     zero = field.zero
@@ -357,7 +354,7 @@ def count_variety(variety: str, field: FiniteField) -> PointCount:
 
 def zeta_counts(variety: str, p: int, degrees: int) -> ZetaData:
     """Counts of one model over GF(p), ..., GF(p^degrees)."""
-    fields = [build_field(p, k, max_q=MAX_Q) for k in range(1, degrees + 1)]
+    fields = [build_field(p, k) for k in range(1, degrees + 1)]
     counts = tuple(count_variety(variety, f) for f in fields)
     return ZetaData(variety=variety, p=p, counts=counts)
 
@@ -395,7 +392,7 @@ def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
         si = compute_invariants(s)
         inv[s.name] = {"b2": si.b2, "sigma": si.sigma, "parity": si.parity.value}
     # every field is checked before any counting starts
-    fields = [[build_field(p, k, max_q=MAX_Q) for k in range(1, degrees + 1)] for p in primes]
+    fields = [[build_field(p, k) for k in range(1, degrees + 1)] for p in primes]
     per_prime = []
     all_equal = True
     for p, row_fields in zip(primes, fields):

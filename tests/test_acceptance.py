@@ -9,7 +9,7 @@ import itertools
 import json
 import random
 import time
-from importlib import resources
+from pathlib import Path
 
 from surftop.classification import (
     E8,
@@ -267,7 +267,7 @@ def test_criterion_7_weil_bounds():
                 if variety in split_exact and p != split_exact[variety]:
                     exact_ok = exact_ok and pc.count == 1 + b2 * f.q + f.q**2
         golden = json.loads(
-            resources.files("surftop").joinpath("data").joinpath("golden_counts.json").read_text()
+            (Path(__file__).parent / "data" / "golden_counts.json").read_text()
         )["counts"]
         frozen = golden["fermat4"]["5"]
         quartic = count_hypersurface_p3(fermat_form(4), build_field(5, 1), variety="fermat4")

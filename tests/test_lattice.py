@@ -65,6 +65,11 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             GramMatrix(((True,),))
 
+    @pytest.mark.parametrize("rows", [[[1.5]], [["3"]], [[True]], [[1.9, 0.5], [0.5, -1.2]]])
+    def test_from_rows_rejects_non_integer(self, rows):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            GramMatrix.from_rows(rows)
+
     def test_empty_allowed(self):
         assert GramMatrix(()).n == 0
 

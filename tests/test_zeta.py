@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +10,7 @@ from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
 from surftop.surfaces import compute_invariants, catalog_lookup
 from surftop.zeta import (
     MODELS,
+    FiniteField,
     PointCount,
     ZetaData,
     build_field,
@@ -32,11 +33,11 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), 
 FIELDS_TO_27 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
                 (13, 1), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
 HUGE_PRIME = 1000000000000000003
+GOLDEN_COUNTS = Path(__file__).parent / "data" / "golden_counts.json"
 
 
 def _golden():
-    raw = resources.files("surftop").joinpath("data").joinpath("golden_counts.json").read_text()
-    return json.loads(raw)["counts"]
+    return json.loads(GOLDEN_COUNTS.read_text())["counts"]
 
 
 class TestIsPrime:
@@ -203,7 +204,7 @@ class TestCountHypersurface:
             count_hypersurface_p3({(1, 0, 0): 1}, f)
 
     def test_enumeration_cap(self):
-        f = build_field(347, 1)
+        f = FiniteField(347, 1, None)
         with pytest.raises(ValueError):
             count_hypersurface_p3(fermat_form(2), f)
         with pytest.raises(ValueError):
@@ -382,15 +383,15 @@ class TestCheckOrder:
 
     def test_cap_before_primality(self):
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-            build_field(HUGE_PRIME, 1, max_q=343)
+            build_field(HUGE_PRIME, 1)
 
     def test_composite_over_cap_is_a_cap_error(self):
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-            build_field(1000, 1, max_q=343)
+            build_field(1000, 1)
 
     def test_degree_before_cap(self):
         with pytest.raises(UnsupportedDegreeError):
-            build_field(HUGE_PRIME, 4, max_q=343)
+            build_field(HUGE_PRIME, 4)
 
     def test_zeta_counts_and_report_check_fields_first(self):
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
@@ -404,11 +405,20 @@ class TestCheckOrder:
         p = 10**1500 - 1  # q = p^3 has 4498 digits, past int-to-str conversion
         msg = f"q = of {(p**3).bit_length()} bits exceeds the enumeration cap 343"
         with pytest.raises(ValueError) as info:
-            build_field(p, 3, max_q=343)
+            build_field(p, 3)
         assert str(info.value) == msg
         with pytest.raises(ValueError) as info:
-            build_field(347, 1, max_q=343)
+            build_field(347, 1)
         assert str(info.value) == "q = 347 exceeds the enumeration cap 343"
+
+    def test_cap_refuses_without_testing_primality(self, monkeypatch):
+        def untestable(n):
+            raise AssertionError(f"primality of {n} tested above the cap")
+
+        monkeypatch.setattr("surftop.zeta.is_prime", untestable)
+        for p in (347, HUGE_PRIME):
+            with pytest.raises(ValueError, match=f"q = {p} exceeds the enumeration cap 343"):
+                build_field(p, 1)
 
 
 def _diagonal_form(rng: random.Random, p: int, d: int, j: int) -> dict:
