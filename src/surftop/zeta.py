@@ -7,26 +7,24 @@ p^3.
 
 Every count is an exact count of solutions; closed forms such as
 (q+1)^2 for P1 x P1 are asserted in tests, never used as the
-implementation. Two methods are used:
-
-- Value distributions, for equations separable into one-variable terms
-  f_1(x_1) + ... + f_n(x_n) = 0 (Weil, "Numbers of solutions of
-  equations in finite fields", Bull. AMS 55 (1949), sections 1-2): each
-  term's histogram of values over the field is convolved under the
-  field's addition, and the weight at 0 is the number of affine zeros.
-  This counts the diagonal hypersurfaces in P3, every Fermat model
-  among them, and the incidence model of Bl1P2 (separable in x for each
-  fixed y in P1), in O(q^2) field operations instead of O(q^3).
-- Direct enumeration of normalized projective representatives (first
-  nonzero coordinate 1), for P1 x P1 and for every hypersurface in P3
-  with a mixed monomial.
+implementation. P1 x P1 is counted by enumerating its representative
+pairs. Every other count uses value distributions (Weil, "Numbers of
+solutions of equations in finite fields", Bull. AMS 55 (1949), sections
+1-2): the affine zeros of g_1(x_B1) + ... + g_n(x_Bn) = 0, with the g_i
+on disjoint blocks B_i of variables, are the weight at 0 of the
+convolution of the blocks' value histograms. A hypersurface in P3 is
+split into the connected components of "two variables share a
+monomial", and a block of m variables gets its histogram from the
+representatives of P^(m-1), so only a form whose monomials connect all
+four variables costs O(q^3); every Fermat model has four blocks of one.
+The incidence model of Bl1P2 is linear in x for each fixed y in P1.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
-at the cap a value-distribution count takes under a second, while
-enumeration would visit about 4 * 10^7 representatives of P3.
-build_field refuses q > MAX_Q for every caller, before it tests p for
-primality; each counter refuses a FiniteField built directly over the
-cap. Smoothness of user-supplied forms mod p is not verified; Weil-bound
+at the cap a shipped model takes under a second, while a form connecting
+all four variables would visit about 4 * 10^7 representatives of P3.
+FiniteField refuses q > MAX_Q before it tests p for primality, then a
+modulus that does not make a field, so every nonzero element is a unit.
+Smoothness of user-supplied forms mod p is not verified; Weil-bound
 checks are authoritative only for the shipped models at good primes.
 """
 
@@ -60,9 +58,17 @@ class FiniteField:
     The tuple (c0, ..., c_{k-1}) stands for c0 + c1 x + ... modulo a
     monic irreducible of degree k (k = 1 needs no modulus). Elements are
     immutable and hashable; the field object holds no mutable state.
+    The constructor refuses any ring that is not a field, in build_field's
+    check order: value distributions need every nonzero element a unit.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
+        _check_field(p, k)
+        if k == 1 and modulus is not None:
+            raise ValueError("GF(p) takes no modulus")
+        if k > 1 and (modulus is None or len(modulus) != k + 1 or modulus[k] != 1
+                      or _has_root(modulus, p)):
+            raise ValueError(f"modulus must be monic of degree {k} with no root mod {p}")
         self.p = p
         self.k = k
         self.modulus = modulus
@@ -139,6 +145,15 @@ def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     return False
 
 
+def _check_field(p: int, k: int):
+    if not 1 <= k <= 3:
+        raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
+    if p**k > MAX_Q:
+        raise ValueError(f"q = {int_text(p**k)} exceeds the enumeration cap {MAX_Q}")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+
+
 def build_field(p: int, k: int) -> FiniteField:
     """Deterministic field constructor.
 
@@ -146,15 +161,11 @@ def build_field(p: int, k: int) -> FiniteField:
     lexicographic order of its low coefficient tuple (c0, ..., c_{k-1});
     irreducibility for degree <= 3 is exactly the absence of roots.
 
-    The checks run cheapest first: the degree, then q = p^k against
-    MAX_Q, then the trial-division primality test, so every caller has
-    q > MAX_Q refused, and a huge p is refused without being factored.
+    The checks run cheapest first, here and in FiniteField: the degree,
+    then q = p^k against MAX_Q, then the trial-division primality test,
+    so a huge p is refused without being factored.
     """
-    if not 1 <= k <= 3:
-        raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
-    _check_scale(p**k)
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _check_field(p, k)
     if k == 1:
         return FiniteField(p, 1, None)
     for tail in itertools.product(range(p), repeat=k):
@@ -193,25 +204,30 @@ def projective_points(field: FiniteField, n: int):
             yield prefix + tail
 
 
-def _check_scale(q: int):
-    if q > MAX_Q:
-        raise ValueError(f"q = {int_text(q)} exceeds the enumeration cap {MAX_Q}")
+def _orbit_hist(field: FiniteField, reps: Counter, dth: Counter) -> Counter:
+    """Histogram over A^m of a form g of degree d >= 1 in m variables.
 
-
-def _term_hist(field: FiniteField, c, powers) -> Counter:
-    """Histogram of the values of x -> c * x^e, given x^e for every x in the field."""
-    return Counter(field.mul(c, v) for v in powers)
+    reps counts the values of g on the representatives x of P^(m-1), and
+    dth counts lambda^d over the units lambda: the nonzero points of A^m
+    are the lambda x, where g is lambda^d g(x), and the origin is a zero.
+    """
+    hist = Counter({field.zero: 1 + (field.q - 1) * reps[field.zero]})
+    for v, r in reps.items():
+        if v != field.zero:
+            for w, n in dth.items():
+                hist[field.mul(v, w)] += r * n
+    return hist
 
 
 def _projective_zeros(field: FiniteField, hists) -> int:
-    """Zeros in P^(n-1) of a homogeneous f_1(x_1) + ... + f_n(x_n).
+    """Zeros in projective space of a homogeneous f_1(x_B1) + ... + f_n(x_Bn).
 
-    Each f_i is given as the histogram of its values over the field
-    (value -> number of x with f_i(x) = value). The histograms are
-    convolved under field.add, smallest support first; the last one is
-    only paired against the negated partial sums, since only the weight
-    N_aff of the total at 0 is needed: the N_aff - 1 nonzero zeros lie on
-    (N_aff - 1) / (q - 1) lines through the origin.
+    Each f_i is given as the histogram of its values over the affine space
+    of its own block B_i of variables. The histograms are convolved under
+    field.add, smallest support first; the last one is only paired against
+    the negated partial sums, since only the weight N_aff of the total at 0
+    is needed: the N_aff - 1 nonzero zeros lie on (N_aff - 1) / (q - 1)
+    lines through the origin.
     """
     *rest, last = sorted(hists, key=len)
     add = field.add
@@ -230,7 +246,6 @@ def _projective_zeros(field: FiniteField, hists) -> int:
 
 def count_p1xp1(field: FiniteField) -> PointCount:
     """Points of P1 x P1 by direct enumeration of representative pairs."""
-    _check_scale(field.q)
     line = list(projective_points(field, 1))
     n = sum(1 for _pair in itertools.product(line, line))
     return PointCount(variety="P1xP1", q=field.q, count=n)
@@ -243,14 +258,17 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
     For each y the equation 0 * x0 + y1 x1 - y0 x2 = 0 is separable in x,
     so its points in P2 come from the value distributions of its terms.
     """
-    _check_scale(field.q)
-    xs = list(field.elements())
-    linear_hist = functools.cache(lambda c: _term_hist(field, c, xs))
+    units = Counter(x for x in field.elements() if x != field.zero)
+    linear_hist = functools.cache(lambda c: _orbit_hist(field, Counter([c]), units))
     n = 0
     for y0, y1 in projective_points(field, 1):
         hists = [linear_hist(field.zero), linear_hist(y1), linear_hist(field.neg(y0))]
         n += _projective_zeros(field, hists)
     return PointCount(variety="Bl1P2", q=field.q, count=n)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def count_hypersurface_p3(
@@ -262,51 +280,49 @@ def count_hypersurface_p3(
 
     coeffs maps exponent quadruples to integer coefficients; they are
     reduced mod p, and a form vanishing identically mod p is refused.
-    A diagonal form (every monomial a power of one variable) is counted
-    from the value distributions of its terms.
-    Every other form is counted by full enumeration of the q^3+q^2+q+1
-    points of P3: a cubic with a mixed monomial takes about 4.5 s at
-    q = 49 on a 2-vCPU Xeon VM, and about 25 min (extrapolated) at the
-    cap.
+    The form is a sum of block forms on the connected components of "two
+    variables share a monomial"; a block of m variables costs its
+    q^(m-1)+...+1 representatives of P^(m-1), so only a form connecting
+    all four variables is O(q^3). The cubic x0^3+x1^3+x2^3+x3^3+x0x1x2
+    (blocks of three and one) takes 0.08 s at q = 49 and 4.4 s at q = 343
+    on a 2-vCPU Xeon VM.
     """
-    _check_scale(field.q)
-    degrees = {sum(e) for e in coeffs}
-    if len(degrees) > 1:
+    for e, c in coeffs.items():
+        if not (isinstance(e, tuple) and len(e) == 4 and all(_is_int(x) and x >= 0 for x in e)):
+            raise ValueError("exponents must be quadruples of non-negative integers")
+        if not _is_int(c):
+            raise ValueError("coefficients must be integers")
+    if len({sum(e) for e in coeffs}) > 1:
         raise ValueError("form is not homogeneous")
-    if any(len(e) != 4 or min(e) < 0 for e in coeffs):
-        raise ValueError("exponents must be quadruples of non-negative integers")
     reduced = {e: c % field.p for e, c in coeffs.items() if c % field.p}
     if not reduced:
         raise ZeroFormError("form vanishes identically mod p")
+    degree = sum(next(iter(reduced)))
+    if degree == 0:  # a nonzero constant: the origin is not a zero
+        return PointCount(variety=variety, q=field.q, count=0)
     terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
-    exponents = {d for e in reduced for d in e if d}
+    exponents = {d for e in reduced for d in e if d} | {degree}
     powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
-    # a nonzero constant has no variable, so it is never taken as diagonal
-    if all(sum(1 for x in e if x) == 1 for e in reduced):
-        hists = [{field.zero: field.q}] * 4
-        for e, c in terms:
-            i = next(i for i, x in enumerate(e) if x)
-            hists[i] = _term_hist(field, c, powers[e[i]].values())
-        n = _projective_zeros(field, hists)
-        return PointCount(variety=variety, q=field.q, count=n)
-    one = field.one
-    zero = field.zero
-    n = 0
-    for point in projective_points(field, 3):
-        total = zero
-        for exps, c in terms:
-            mono = one
-            for x, e in zip(point, exps):
-                if e:
-                    if x == zero:
-                        mono = zero
-                        break
-                    mono = field.mul(mono, powers[e][x])
-            if mono != zero:
-                total = field.add(total, mono if c == one else field.mul(c, mono))
-        if total == zero:
-            n += 1
-    return PointCount(variety=variety, q=field.q, count=n)
+    dth = Counter(v for x, v in powers[degree].items() if x != field.zero)
+    blocks = [[i] for i in range(4)]
+    for e in reduced:
+        hit = [b for b in blocks if any(e[i] for i in b)]
+        blocks = [b for b in blocks if b not in hit] + [sum(hit, [])]
+    hists = []
+    for block in blocks:
+        block_terms = [([e[i] for i in block], c) for e, c in terms if any(e[i] for i in block)]
+        reps = Counter()
+        for point in projective_points(field, len(block) - 1):
+            total = field.zero
+            for exps, c in block_terms:
+                mono = c
+                for x, d in zip(point, exps):
+                    if d:
+                        mono = field.mul(mono, powers[d][x])
+                total = field.add(total, mono)
+            reps[total] += 1
+        hists.append(_orbit_hist(field, reps, dth))
+    return PointCount(variety=variety, q=field.q, count=_projective_zeros(field, hists))
 
 
 def fermat_form(d: int) -> dict[tuple[int, int, int, int], int]:

@@ -204,13 +204,9 @@ class TestCountHypersurface:
             count_hypersurface_p3({(1, 0, 0): 1}, f)
 
     def test_enumeration_cap(self):
-        f = FiniteField(347, 1, None)
-        with pytest.raises(ValueError):
-            count_hypersurface_p3(fermat_form(2), f)
-        with pytest.raises(ValueError):
-            count_p1xp1(f)
-        with pytest.raises(ValueError):
-            count_blowup_p2(f)
+        # no counter can be handed a field over the cap: its construction fails
+        with pytest.raises(ValueError, match="^q = 347 exceeds the enumeration cap 343$"):
+            FiniteField(347, 1, None)
 
     def test_fermat_degree_validation(self):
         with pytest.raises(ValueError):
@@ -501,3 +497,149 @@ class TestOracleField:
         for a in o.elements:
             for b in o.elements:
                 assert f.mul(a, b) == o.mul(a, b), (a, b)
+
+
+MIXED_CUBIC = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1, (1, 1, 1, 0): 1}
+# blocks of variables before relabelling: 2+2, 3+1, one of four, and two
+# shapes that leave a variable in no monomial
+BLOCK_SHAPES = [[[0, 1], [2, 3]], [[0, 1, 2], [3]], [[0, 1, 2, 3]], [[0, 2], [3]], [[1, 2, 3]]]
+
+
+def _block_form(rng: random.Random, p: int, d: int, shape) -> dict:
+    """A degree-d form whose blocks are `shape`, with the variables relabelled.
+
+    Each block gets a pure power of one variable and links x_a^i x_b^(d-i)
+    joining its variables in a chain, inserted in random order, all with
+    coefficients nonzero mod p; then one random monomial of the block,
+    whose coefficient is p half the time.
+    """
+    perm = rng.sample(range(4), 4)
+    nonzero = [a for a in range(-2 * p, 2 * p + 1) if a % p]
+    form = {}
+
+    def mono(variables):
+        return tuple(variables.count(i) for i in range(4))
+
+    for block in ([perm[i] for i in b] for b in shape):
+        links = list(zip(block, block[1:]))
+        rng.shuffle(links)
+        form[mono([block[0]] * d)] = rng.choice(nonzero)
+        for a, b in links:
+            i = rng.randint(1, d - 1)
+            form[mono([a] * i + [b] * (d - i))] = rng.choice(nonzero)
+        extra = mono([rng.choice(block) for _ in range(d)])
+        form.setdefault(extra, rng.choice((p, rng.choice(nonzero))))
+    return form
+
+
+class TestBlocksAgainstOracle:
+    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
+    def test_seeded_block_forms(self, p, k):
+        f = build_field(p, k)
+        rng = random.Random(7000 + 100 * p + k)
+        # the oracle costs O(q^3 d) multiplications, so the larger fields get fewer forms;
+        # the fields with q <= 9 take d = p, so every shape is also counted with p | d
+        n_forms = 5 if f.q <= 9 else 2 if f.q < 20 else 1
+        start = rng.randrange(len(BLOCK_SHAPES))
+        for j in range(n_forms):
+            shape = BLOCK_SHAPES[(start + j) % len(BLOCK_SHAPES)]
+            d = max(p, 2) if f.q <= 9 else 2 if f.q > 20 else rng.choice((2, 3))
+            form = _block_form(rng, p, d, shape)
+            assert count_hypersurface_p3(form, f).count == naive_affine_chart_count(form, f), form
+
+    @pytest.mark.parametrize("form", [
+        MIXED_CUBIC,
+        {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1},  # Segre quadric: blocks {0, 3} and {1, 2}
+        {(1, 1, 0, 0): 1, (0, 0, 1, 1): 2, (0, 1, 1, 0): -1},  # a bridge joins two blocks
+        {(1, 1, 1, 1): -1},  # one mixed monomial
+    ], ids=["mixed-cubic", "segre", "bridge", "single-monomial"])
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+    def test_fixed_forms(self, form, p, k):
+        f = build_field(p, k)
+        assert count_hypersurface_p3(form, f).count == naive_affine_chart_count(form, f)
+
+
+class TestBlockWork:
+    def _visits(self, monkeypatch, form, field) -> int:
+        import surftop.zeta
+
+        real = surftop.zeta.projective_points
+        seen = []
+
+        def counting(f, n):
+            for point in real(f, n):
+                seen.append(point)
+                yield point
+
+        monkeypatch.setattr(surftop.zeta, "projective_points", counting)
+        count_hypersurface_p3(form, field)
+        return len(seen)
+
+    def test_three_plus_one_visits_only_p2(self, monkeypatch):
+        f = build_field(7, 2)
+        assert self._visits(monkeypatch, MIXED_CUBIC, f) <= f.q**2 + f.q + 2
+
+    def test_fermat_visits_one_representative_per_variable(self, monkeypatch):
+        assert self._visits(monkeypatch, fermat_form(3), build_field(7, 2)) == 4
+
+    def test_mixed_cubic_at_49(self):
+        # 2451 is also the count of an enumeration of all q^3+q^2+q+1 points of P3
+        assert count_hypersurface_p3(MIXED_CUBIC, build_field(7, 2)).count == 2451
+
+
+class TestFormValidation:
+    @pytest.mark.parametrize("form", [
+        {(2, 0, 0, 0): 1.5, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1},
+        {(1, 1, 0, 0): 0.5},
+        {(2, 0, 0, 0): True, (0, 2, 0, 0): 1},
+    ], ids=["float-coefficient", "fractional-coefficient", "bool-coefficient"])
+    def test_non_integer_coefficient_refused(self, form):
+        with pytest.raises(ValueError, match="^coefficients must be integers$"):
+            count_hypersurface_p3(form, build_field(5, 1))
+
+    @pytest.mark.parametrize("form", [
+        {(2.0, 0, 0, 0): 1, (0, 2, 0, 0): 1},
+        {(True, 1, 0, 0): 1},
+        {"abcd": 1},
+    ], ids=["float-exponent", "bool-exponent", "string-key"])
+    def test_non_integer_exponent_refused(self, form):
+        with pytest.raises(ValueError, match="^exponents must be quadruples of non-negative integers$"):
+            count_hypersurface_p3(form, build_field(5, 1))
+
+
+class TestFieldConstruction:
+    """FiniteField refuses every (p, k, modulus) that is not a field."""
+
+    def test_composite_characteristic(self):
+        with pytest.raises(NotPrimeError):
+            FiniteField(4, 1, None)
+
+    def test_modulus_with_a_root(self):
+        with pytest.raises(ValueError, match="^modulus must be monic of degree 2 with no root mod 2$"):
+            FiniteField(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over GF(2)
+
+    @pytest.mark.parametrize("p,k,modulus", [
+        (5, 1, (0, 1)), (3, 2, None), (3, 2, (1, 1)), (3, 2, (1, 0, 2)), (2, 3, (1, 1, 0, 1, 0)),
+    ])
+    def test_malformed_modulus(self, p, k, modulus):
+        with pytest.raises(ValueError):
+            FiniteField(p, k, modulus)
+
+    def test_check_order(self, monkeypatch):
+        with pytest.raises(UnsupportedDegreeError):
+            FiniteField(HUGE_PRIME, 4, (1, 0, 1))
+        with pytest.raises(NotPrimeError):
+            FiniteField(4, 2, (1, 0, 1))  # primality before the modulus
+
+        def untestable(n):
+            raise AssertionError(f"primality of {n} tested above the cap")
+
+        monkeypatch.setattr("surftop.zeta.is_prime", untestable)
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            FiniteField(HUGE_PRIME, 1, None)
+
+    def test_any_irreducible_modulus_gives_the_same_counts(self):
+        f = FiniteField(3, 2, (2, 1, 1))  # x^2 + x + 2, not build_field's x^2 + 1
+        g = build_field(3, 2)
+        for form in (fermat_form(2), fermat_form(4), MIXED_CUBIC):
+            assert count_hypersurface_p3(form, f).count == count_hypersurface_p3(form, g).count
