@@ -10,9 +10,9 @@ refused rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from . import Record
 from .errors import (
     DefiniteEvenUnrealizableError,
     DefiniteNotClassifiedError,
@@ -30,8 +30,7 @@ class ClassificationMode(Enum):
     SMOOTH_FOUR_MANIFOLD = "smooth_four_manifold"
 
 
-@dataclass(frozen=True)
-class IndefiniteOdd:
+class IndefiniteOdd(Record):
     """n_plus<1> + n_minus<-1> with both counts >= 1."""
 
     n_plus: int
@@ -50,8 +49,7 @@ class IndefiniteOdd:
         return self.n_plus - self.n_minus
 
 
-@dataclass(frozen=True)
-class IndefiniteEven:
+class IndefiniteEven(Record):
     """e8_signed_count copies of (sign) E8 plus h_count hyperbolic planes."""
 
     e8_signed_count: int
@@ -70,8 +68,7 @@ class IndefiniteEven:
         return 8 * self.e8_signed_count
 
 
-@dataclass(frozen=True)
-class DefiniteDiagonal:
+class DefiniteDiagonal(Record):
     """sign * (x1^2 + ... + x_rank^2); only under smooth realizability."""
 
     sign: int

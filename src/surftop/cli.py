@@ -34,7 +34,7 @@ def _machine(obj) -> str:
 
 
 def _fields(obj) -> dict:
-    """A frozen dataclass as a dict, enum fields by value."""
+    """A Record as a dict of its fields, enum fields by value."""
     return {k: v.value if isinstance(v, Enum) else v for k, v in vars(obj).items()}
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
+
+from . import Record
 
 
 class Parity(Enum):
@@ -20,8 +21,7 @@ class Parity(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Record):
     """Symmetric n x n integer matrix; rank 0 (empty form) is allowed."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -68,8 +68,7 @@ class GramMatrix:
         return cls(entries)
 
 
-@dataclass(frozen=True)
-class FormInvariants:
+class FormInvariants(Record):
     """Congruence invariants of a symmetric integer form.
 
     For nondegenerate forms rank = b_plus + b_minus and the determinant

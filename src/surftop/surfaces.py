@@ -12,9 +12,9 @@ constraint raise InvalidSurfaceError rather than being classified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from . import Record
 from .classification import ClassificationMode, FormClass, classify_form
 from .errors import InvalidSurfaceError, int_text
 from .lattice import FormInvariants, Parity
@@ -23,8 +23,7 @@ from .lattice import FormInvariants, Parity
 _ALIASES = {"BlP2": "Bl1P2", "K3": "deg4", "Quadric": "deg2", "Cubic": "deg3"}
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(Record):
     """(c1^2, c2, spin) with a human label; may be invalid until checked."""
 
     name: str
@@ -33,8 +32,7 @@ class SurfaceData:
     spin: bool
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
     b2: int
     sigma: int
     parity: Parity
@@ -143,8 +141,8 @@ def _load_catalog() -> tuple[SurfaceData, ...]:
     entries = (
         p2,
         SurfaceData(name="P1xP1", c1_sq=8, c2=4, spin=True),
-        *(replace(blow_up(p2, k), name=f"Bl{k}P2") for k in range(1, 10)),
-        *(replace(hypersurface(d), name=f"deg{d}") for d in range(1, 7)),
+        *(blow_up(p2, k)._replace(name=f"Bl{k}P2") for k in range(1, 10)),
+        *(hypersurface(d)._replace(name=f"deg{d}") for d in range(1, 7)),
     )
     for s in entries:
         compute_invariants(s)  # every shipped entry must validate

@@ -20,8 +20,10 @@ four variables costs O(q^3); every Fermat model has four blocks of one.
 The incidence model of Bl1P2 is linear in x for each fixed y in P1.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
-at the cap a shipped model takes under a second, while a form connecting
-all four variables would visit about 4 * 10^7 representatives of P3.
+at the cap a shipped model takes under a second. A hypersurface block
+may have no more representatives than P2 over GF(MAX_Q), so a form
+connecting all four variables, which would visit about 4 * 10^7
+representatives of P3 at the cap, is refused above q = 47.
 FiniteField refuses q > MAX_Q before it tests p for primality, then a
 modulus that does not make a field, so every nonzero element is a unit.
 Smoothness of user-supplied forms mod p is not verified; Weil-bound
@@ -33,11 +35,18 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import NamedTuple
 
+from . import Record
 from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text
 
 MAX_Q = 343
+# representatives of P2 over GF(MAX_Q): a block of up to three variables
+# always fits, a block of four only up to q = 47
+MAX_BLOCK_REPS = MAX_Q**2 + MAX_Q + 1
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def is_prime(n: int) -> bool:
@@ -146,6 +155,8 @@ def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _check_field(p: int, k: int):
+    if not (_is_int(p) and _is_int(k)):
+        raise ValueError("characteristic and extension degree must be integers")
     if not 1 <= k <= 3:
         raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
     if p**k > MAX_Q:
@@ -161,9 +172,10 @@ def build_field(p: int, k: int) -> FiniteField:
     lexicographic order of its low coefficient tuple (c0, ..., c_{k-1});
     irreducibility for degree <= 3 is exactly the absence of roots.
 
-    The checks run cheapest first, here and in FiniteField: the degree,
-    then q = p^k against MAX_Q, then the trial-division primality test,
-    so a huge p is refused without being factored.
+    The checks run cheapest first, here and in FiniteField: the types of
+    p and k, the degree, then q = p^k against MAX_Q, then the
+    trial-division primality test, so a huge p is refused without being
+    factored.
     """
     _check_field(p, k)
     if k == 1:
@@ -175,25 +187,25 @@ def build_field(p: int, k: int) -> FiniteField:
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 
-# named tuples, not dataclasses: `count` never imports dataclasses or inspect
-class PointCount(NamedTuple):
+class PointCount(Record):
     variety: str
     q: int
     count: int
 
 
-class ZetaData(NamedTuple("ZetaData", [("variety", str), ("p", int), ("counts", tuple)])):
+class ZetaData(Record):
     """Counts of one variety over q = p, p^2, ... (extensional zeta data)."""
 
-    __slots__ = ()
+    variety: str
+    p: int
+    counts: tuple[PointCount, ...]
 
-    def __new__(cls, variety: str, p: int, counts: tuple[PointCount, ...]):
-        qs = [c.q for c in counts]
+    def __post_init__(self):
+        qs = [c.q for c in self.counts]
         if qs != sorted(set(qs)):
             raise ValueError("counts must be ordered by strictly increasing q")
-        if any(c.variety != variety for c in counts):
+        if any(c.variety != self.variety for c in self.counts):
             raise ValueError("counts must all concern the same variety")
-        return super().__new__(cls, variety, p, counts)
 
 
 def projective_points(field: FiniteField, n: int):
@@ -267,10 +279,6 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
     return PointCount(variety="Bl1P2", q=field.q, count=n)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def count_hypersurface_p3(
     coeffs: dict[tuple[int, int, int, int], int],
     field: FiniteField,
@@ -283,9 +291,11 @@ def count_hypersurface_p3(
     The form is a sum of block forms on the connected components of "two
     variables share a monomial"; a block of m variables costs its
     q^(m-1)+...+1 representatives of P^(m-1), so only a form connecting
-    all four variables is O(q^3). The cubic x0^3+x1^3+x2^3+x3^3+x0x1x2
-    (blocks of three and one) takes 0.08 s at q = 49 and 4.4 s at q = 343
-    on a 2-vCPU Xeon VM.
+    all four variables is O(q^3). A block with more than MAX_BLOCK_REPS
+    representatives is refused before any counting, so a form connecting
+    all four variables is counted only up to q = 47 (1.4 s there). The
+    cubic x0^3+x1^3+x2^3+x3^3+x0x1x2 (blocks of three and one) takes
+    0.08 s at q = 49 and 4.4 s at q = 343 on a 2-vCPU Xeon VM.
     """
     for e, c in coeffs.items():
         if not (isinstance(e, tuple) and len(e) == 4 and all(_is_int(x) and x >= 0 for x in e)):
@@ -300,14 +310,22 @@ def count_hypersurface_p3(
     degree = sum(next(iter(reduced)))
     if degree == 0:  # a nonzero constant: the origin is not a zero
         return PointCount(variety=variety, q=field.q, count=0)
-    terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
-    exponents = {d for e in reduced for d in e if d} | {degree}
-    powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
-    dth = Counter(v for x, v in powers[degree].items() if x != field.zero)
     blocks = [[i] for i in range(4)]
     for e in reduced:
         hit = [b for b in blocks if any(e[i] for i in b)]
         blocks = [b for b in blocks if b not in hit] + [sum(hit, [])]
+    q = field.q
+    for block in blocks:
+        reps = (q ** len(block) - 1) // (q - 1)
+        if reps > MAX_BLOCK_REPS:
+            raise ValueError(
+                f"a block of {len(block)} variables has {int_text(reps)} representatives "
+                f"over GF({q}), more than the block cap {MAX_BLOCK_REPS}"
+            )
+    terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
+    exponents = {d for e in reduced for d in e if d} | {degree}
+    powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
+    dth = Counter(v for x, v in powers[degree].items() if x != field.zero)
     hists = []
     for block in blocks:
         block_terms = [([e[i] for i in block], c) for e, c in terms if any(e[i] for i in block)]

@@ -159,3 +159,18 @@ def test_counterexample_loads_every_layer(tmp_path):
         "surftop", "surftop.classification", "surftop.cli", "surftop.errors",
         "surftop.lattice", "surftop.surfaces", "surftop.zeta",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--name", "K3"],
+        ["classify", "--gram", "h.json"],
+        ["counterexample", "--primes", "2", "--degrees", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_layer_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+    (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
+    _, stdlib = _loaded_by(argv, tmp_path)
+    assert stdlib == []

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,55 @@ def _diagonal_form(rng: random.Random, p: int, d: int, j: int) -> dict:
             c = rng.choice([a for a in range(-2 * p, 2 * p + 1) if a % p])
         form[tuple(d if t == i else 0 for t in range(4))] = c
     return form
+
+
+class TestFieldArgumentTypes:
+    """p and k must be ints, not bools or floats, before any other check."""
+
+    @pytest.mark.parametrize("p,k", [(5.0, 1), (5, True), (True, 1), (5, 1.0), ("5", 1), (2**64 + 0.0, 4)])
+    def test_refused(self, p, k):
+        for build in (lambda: build_field(p, k), lambda: FiniteField(p, k, None)):
+            with pytest.raises(ValueError, match="^characteristic and extension degree must be integers$"):
+                build()
+
+
+CHAIN_QUADRIC = {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 2): 1}
+
+
+class TestBlockCap:
+    """No block may have more representatives than P2 over GF(MAX_Q) = 117993."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_counting(self, monkeypatch):
+        def reached(*args):
+            raise self.Reached
+
+        monkeypatch.setattr("surftop.zeta.projective_points", reached)
+
+    def test_chain_quadric_refused_at_the_cap_at_once(self):
+        field = build_field(7, 3)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            count_hypersurface_p3(CHAIN_QUADRIC, field)
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value) == (
+            "a block of 4 variables has 40471600 representatives over GF(343), "
+            "more than the block cap 117993"
+        )
+
+    @pytest.mark.parametrize("p,k,refused", [(47, 1, False), (7, 2, True), (53, 1, True)])
+    def test_four_variable_block_boundary(self, no_counting, p, k, refused):
+        expected = ValueError if refused else self.Reached
+        with pytest.raises(expected):
+            count_hypersurface_p3(CHAIN_QUADRIC, build_field(p, k))
+
+    def test_three_variable_block_allowed_at_the_cap(self, no_counting):
+        cubic = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1, (1, 1, 1, 0): 1}
+        with pytest.raises(self.Reached):
+            count_hypersurface_p3(cubic, build_field(7, 3))
 
 
 class TestDiagonalAgainstOracle:
