@@ -91,7 +91,7 @@ _VARIANTS = {cls.__name__: cls for cls in FormClass.__args__}
 
 # Standard even positive-definite rank-8 form: Gram matrix of the E8 root
 # basis (chain 0-1-2-3-4-5-6 with node 7 hanging off node 4), determinant 1.
-E8 = GramMatrix.from_rows(
+E8 = GramMatrix(
     [
         [2, -1, 0, 0, 0, 0, 0, 0],
         [-1, 2, -1, 0, 0, 0, 0, 0],
@@ -104,9 +104,9 @@ E8 = GramMatrix.from_rows(
     ]
 )
 
-MINUS_E8 = GramMatrix.from_rows([[-v for v in row] for row in E8.entries])
+MINUS_E8 = GramMatrix([[-v for v in row] for row in E8.entries])
 
-HYPERBOLIC = GramMatrix.from_rows([[0, 1], [1, 0]])
+HYPERBOLIC = GramMatrix([[0, 1], [1, 0]])
 
 
 def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from enum import Enum
+from math import isqrt
 
 from . import Record
 
@@ -44,10 +45,6 @@ class GramMatrix(Record):
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "GramMatrix":
-        return cls(rows)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "entries": [list(row) for row in self.entries]}
@@ -115,7 +112,7 @@ def block_diag(*blocks: GramMatrix) -> GramMatrix:
             for j in range(b.n):
                 rows[off + i][off + j] = b.entries[i][j]
         off += b.n
-    return GramMatrix.from_rows(rows)
+    return GramMatrix(rows)
 
 
 def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
@@ -132,8 +129,19 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
     sign and makes the determinant 0. By Jacobi's rule the k-th diagonal
     entry of the congruent diagonal form has the sign of pivot * previous
     pivot.
+
+    The work is capped before the pass. Every minor has at most
+    H = sum_i bitlen(|row_i|) bits (Hadamard), bounded here in O(n^2)
+    through |row_i| <= sqrt(n) max_j |a_ij|, and n^2 * H * isqrt(H)
+    tracks the pass's time within a factor of about 5; a form over
+    MAX_ELIMINATION_WORK is refused with a ValueError.
     """
     n = m.n
+    h = sum(max(map(abs, row)).bit_length() for row in m.entries) + n * ((n.bit_length() + 1) // 2)
+    work = n * n * h * isqrt(h)
+    if work > MAX_ELIMINATION_WORK:
+        from .errors import int_text  # only here, so importing lattice loads no other module
+        raise ValueError(f"elimination work {int_text(work)} exceeds the cap {MAX_ELIMINATION_WORK}")
     a = [list(row) for row in m.entries]
     pos = neg = 0
     prev = 1
@@ -196,6 +204,10 @@ def invariants(m: GramMatrix) -> FormInvariants:
 
 
 DEFAULT_ENTRY_CAP = 10**6
+# cap on n^2 * H * isqrt(H), H the Hadamard bit bound of a rank-n form (see
+# _eliminate): every form of rank <= 200 with entries within DEFAULT_ENTRY_CAP
+# stays under two thirds of it, a rank-14 form of 4300-digit entries just under
+MAX_ELIMINATION_WORK = 2 * 10**10
 
 
 def random_unimodular_transform(
@@ -244,7 +256,7 @@ def random_unimodular_transform(
             for t in range(n):
                 a[t][i] = row[t]
             wide = 0
-    return GramMatrix.from_rows(a)
+    return GramMatrix(a)
 
 
 def brute_force_isometry(

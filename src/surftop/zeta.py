@@ -24,8 +24,8 @@ at the cap a shipped model takes under a second. A hypersurface block
 may have no more representatives than P2 over GF(MAX_Q), so a form
 connecting all four variables, which would visit about 4 * 10^7
 representatives of P3 at the cap, is refused above q = 47.
-FiniteField refuses q > MAX_Q before it tests p for primality, then a
-modulus that does not make a field, so every nonzero element is a unit.
+FiniteField refuses q > MAX_Q before it tests p for primality and picks
+its own irreducible modulus, so every nonzero element is a unit.
 Smoothness of user-supplied forms mod p is not verified; Weil-bound
 checks are authoritative only for the shipped models at good primes.
 """
@@ -64,24 +64,35 @@ def is_prime(n: int) -> bool:
 class FiniteField:
     """GF(p^k) with elements as length-k coefficient tuples over Z/p.
 
-    The tuple (c0, ..., c_{k-1}) stands for c0 + c1 x + ... modulo a
-    monic irreducible of degree k (k = 1 needs no modulus). Elements are
-    immutable and hashable; the field object holds no mutable state.
-    The constructor refuses any ring that is not a field, in build_field's
-    check order: value distributions need every nonzero element a unit.
+    The tuple (c0, ..., c_{k-1}) stands for c0 + c1 x + ... modulo the
+    first monic polynomial of degree k with no root mod p (irreducible,
+    as k <= 3) in lexicographic order of its low coefficients; k = 1
+    needs no modulus (None). All fields of order q are isomorphic (Lidl
+    and Niederreiter, Finite Fields, 1983, Thm 2.5), so this choice never
+    changes a count. Elements are immutable and hashable; the field
+    object holds no mutable state.
+
+    The checks run once, cheapest first: the types of p and k, the
+    degree, q = p^k against MAX_Q, then trial-division primality, so a
+    huge p is never factored and no ring that is not a field is built
+    (value distributions need every nonzero element a unit).
     """
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
-        _check_field(p, k)
-        if k == 1 and modulus is not None:
-            raise ValueError("GF(p) takes no modulus")
-        if k > 1 and (modulus is None or len(modulus) != k + 1 or modulus[k] != 1
-                      or _has_root(modulus, p)):
-            raise ValueError(f"modulus must be monic of degree {k} with no root mod {p}")
+    def __init__(self, p: int, k: int):
+        if not (_is_int(p) and _is_int(k)):
+            raise ValueError("characteristic and extension degree must be integers")
+        if not 1 <= k <= 3:
+            raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
+        q = p**k
+        if q > MAX_Q:
+            raise ValueError(f"q = {int_text(q)} exceeds the enumeration cap {MAX_Q}")
+        if not is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
         self.p = p
         self.k = k
-        self.modulus = modulus
-        self.q = p**k
+        self.modulus = None if k == 1 else next(
+            t + (1,) for t in itertools.product(range(p), repeat=k) if not _has_root(t + (1,), p))
+        self.q = q
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
 
@@ -154,37 +165,9 @@ def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     return False
 
 
-def _check_field(p: int, k: int):
-    if not (_is_int(p) and _is_int(k)):
-        raise ValueError("characteristic and extension degree must be integers")
-    if not 1 <= k <= 3:
-        raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
-    if p**k > MAX_Q:
-        raise ValueError(f"q = {int_text(p**k)} exceeds the enumeration cap {MAX_Q}")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-
-
 def build_field(p: int, k: int) -> FiniteField:
-    """Deterministic field constructor.
-
-    For k >= 2 the modulus is the first monic irreducible of degree k in
-    lexicographic order of its low coefficient tuple (c0, ..., c_{k-1});
-    irreducibility for degree <= 3 is exactly the absence of roots.
-
-    The checks run cheapest first, here and in FiniteField: the types of
-    p and k, the degree, then q = p^k against MAX_Q, then the
-    trial-division primality test, so a huge p is refused without being
-    factored.
-    """
-    _check_field(p, k)
-    if k == 1:
-        return FiniteField(p, 1, None)
-    for tail in itertools.product(range(p), repeat=k):
-        candidate = tail + (1,)
-        if not _has_root(candidate, p):
-            return FiniteField(p, k, candidate)
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    """GF(p^k); FiniteField states the modulus and the checks."""
+    return FiniteField(p, k)
 
 
 class PointCount(Record):

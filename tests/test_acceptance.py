@@ -132,7 +132,7 @@ def test_criterion_3_basis_change_invariance():
             for i in range(n):
                 for j in range(i, n):
                     rows[i][j] = rows[j][i] = rng.randint(-4, 4)
-            m = GramMatrix.from_rows(rows)
+            m = GramMatrix(rows)
             steps = rng.randint(0, 100)
             moved = random_unimodular_transform(m, seed=rng.getrandbits(32), steps=steps)
             before, after = invariants(m), invariants(moved)

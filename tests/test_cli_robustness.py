@@ -11,11 +11,14 @@ composite, negative or otherwise refused before any counting.
 import contextlib
 import io
 import json
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import huge_symmetric_rows
 from surftop.cli import main
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -237,6 +240,22 @@ class TestWellFormedRejections:
         code, err = self.classify(tmp_path, capsys, {"n": 2, "entries": [[0, a], [a, 0]]}, flags)
         assert code == 1
         assert err == f"NotUnimodular: determinant of {(a * a).bit_length()} bits is not +/-1\n"
+
+
+class TestClassifyWorkCap:
+    """A Gram file whose elimination would run for minutes is a usage error
+    at once, the way q over the enumeration cap is."""
+
+    def test_rank_40_of_4300_digit_entries(self, tmp_path, capsys):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"n": 40, "entries": huge_symmetric_rows(40, seed=40)}))
+        start = time.perf_counter()
+        code = main(["classify", "--gram", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.fullmatch(r"usage error: elimination work \d+ exceeds the cap 20000000000\n", captured.err)
+        assert elapsed < 1
 
 
 class TestHugeSurfaceSums:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from oracles import (
     parity_by_enumeration,
     signature_by_charpoly,
 )
-from strategies import gram_matrices
+from strategies import gram_matrices, huge_symmetric_rows
 from surftop.classification import E8, HYPERBOLIC, MINUS_E8
 from surftop.lattice import (
+    DEFAULT_ENTRY_CAP,
+    MAX_ELIMINATION_WORK,
     FormInvariants,
     GramMatrix,
     Parity,
@@ -68,7 +71,7 @@ class TestGramMatrix:
     @pytest.mark.parametrize("rows", [[[1.5]], [["3"]], [[True]], [[1.9, 0.5], [0.5, -1.2]]])
     def test_from_rows_rejects_non_integer(self, rows):
         with pytest.raises(ValueError, match="entries must be integers"):
-            GramMatrix.from_rows(rows)
+            GramMatrix(rows)
 
     def test_empty_allowed(self):
         assert GramMatrix(()).n == 0
@@ -116,6 +119,40 @@ class TestDeterminant:
     @given(gram_matrices(max_rank=5))
     def test_matches_cofactor_expansion(self, m):
         assert determinant(m) == cofactor_determinant(m.entries)
+
+
+class TestEliminationWorkCap:
+    """A form whose elimination estimate n^2 * H * isqrt(H) is over the cap
+    is refused before the pass, by every function that eliminates."""
+
+    CAP_MESSAGE = rf"^elimination work \d+ exceeds the cap {MAX_ELIMINATION_WORK}$"
+    BIGGEST = 10**4300 - 1  # the largest entry a Gram file may hold
+
+    @staticmethod
+    def _constant(n: int, v: int) -> GramMatrix:
+        # rank 1: the pass clears every row after the first pivot, so it is quick
+        return GramMatrix([[v] * n for _ in range(n)])
+
+    @pytest.mark.parametrize("op", [determinant, invariants, is_unimodular])
+    def test_rank_40_of_4300_digit_entries_refused_at_once(self, op):
+        m = GramMatrix(huge_symmetric_rows(40, seed=40))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=self.CAP_MESSAGE):
+            op(m)
+        assert time.perf_counter() - start < 0.5
+
+    def test_boundary_for_4300_digit_entries(self):
+        assert determinant(self._constant(14, self.BIGGEST)) == 0
+        with pytest.raises(ValueError, match=self.CAP_MESSAGE):
+            determinant(self._constant(15, self.BIGGEST))
+
+    def test_every_rank_200_form_within_the_entry_cap_is_accepted(self):
+        # the estimate is largest when every entry is as wide as the cap allows
+        assert determinant(self._constant(200, -DEFAULT_ENTRY_CAP)) == 0
+
+    def test_rank_200_mix_accepted(self):
+        m = random_unimodular_transform(diag(*[1] * 100, *[-1] * 100), seed=200, steps=20 * 200)
+        assert is_unimodular(m)
 
 
 class TestParity:

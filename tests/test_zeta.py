@@ -3,6 +3,7 @@ import math
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -207,7 +208,7 @@ class TestCountHypersurface:
     def test_enumeration_cap(self):
         # no counter can be handed a field over the cap: its construction fails
         with pytest.raises(ValueError, match="^q = 347 exceeds the enumeration cap 343$"):
-            FiniteField(347, 1, None)
+            FiniteField(347, 1)
 
     def test_fermat_degree_validation(self):
         with pytest.raises(ValueError):
@@ -438,7 +439,7 @@ class TestFieldArgumentTypes:
 
     @pytest.mark.parametrize("p,k", [(5.0, 1), (5, True), (True, 1), (5, 1.0), ("5", 1), (2**64 + 0.0, 4)])
     def test_refused(self, p, k):
-        for build in (lambda: build_field(p, k), lambda: FiniteField(p, k, None)):
+        for build in (lambda: build_field(p, k), lambda: FiniteField(p, k)):
             with pytest.raises(ValueError, match="^characteristic and extension degree must be integers$"):
                 build()
 
@@ -658,38 +659,47 @@ class TestFormValidation:
 
 
 class TestFieldConstruction:
-    """FiniteField refuses every (p, k, modulus) that is not a field."""
+    """FiniteField refuses every (p, k) that is not a field, and takes no modulus."""
 
     def test_composite_characteristic(self):
         with pytest.raises(NotPrimeError):
-            FiniteField(4, 1, None)
-
-    def test_modulus_with_a_root(self):
-        with pytest.raises(ValueError, match="^modulus must be monic of degree 2 with no root mod 2$"):
-            FiniteField(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over GF(2)
-
-    @pytest.mark.parametrize("p,k,modulus", [
-        (5, 1, (0, 1)), (3, 2, None), (3, 2, (1, 1)), (3, 2, (1, 0, 2)), (2, 3, (1, 1, 0, 1, 0)),
-    ])
-    def test_malformed_modulus(self, p, k, modulus):
-        with pytest.raises(ValueError):
-            FiniteField(p, k, modulus)
+            FiniteField(4, 1)
 
     def test_check_order(self, monkeypatch):
         with pytest.raises(UnsupportedDegreeError):
-            FiniteField(HUGE_PRIME, 4, (1, 0, 1))
+            FiniteField(HUGE_PRIME, 4)
         with pytest.raises(NotPrimeError):
-            FiniteField(4, 2, (1, 0, 1))  # primality before the modulus
+            FiniteField(4, 2)  # primality before the modulus search
 
         def untestable(n):
             raise AssertionError(f"primality of {n} tested above the cap")
 
         monkeypatch.setattr("surftop.zeta.is_prime", untestable)
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-            FiniteField(HUGE_PRIME, 1, None)
+            FiniteField(HUGE_PRIME, 1)
 
     def test_any_irreducible_modulus_gives_the_same_counts(self):
-        f = FiniteField(3, 2, (2, 1, 1))  # x^2 + x + 2, not build_field's x^2 + 1
+        other = SimpleNamespace(p=3, k=2, modulus=(2, 1, 1))  # x^2 + x + 2, not build_field's x^2 + 1
         g = build_field(3, 2)
         for form in (fermat_form(2), fermat_form(4), MIXED_CUBIC):
-            assert count_hypersurface_p3(form, f).count == count_hypersurface_p3(form, g).count
+            assert naive_affine_chart_count(form, other) == count_hypersurface_p3(form, g).count
+
+    def test_primality_tested_once(self, monkeypatch):
+        import surftop.zeta
+
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(surftop.zeta, "is_prime", counting)
+        for p, k in ((13, 1), (7, 3)):
+            calls.clear()
+            build_field(p, k)
+            assert calls == [p]
+
+    def test_modulus_argument_refused(self):
+        # the float modulus (1.0, 1, 1) was once accepted and made mul return floats
+        with pytest.raises(TypeError):
+            FiniteField(2, 2, (1.0, 1, 1))
