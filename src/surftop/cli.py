@@ -8,7 +8,9 @@ a shipped model over GF(p^k). Each runner imports the layers it uses
 when it runs, so a command loads only those: `count` loads `zeta` alone.
 
 Exit codes: 0 success, 1 expected domain rejections (the stable error
-name goes to stderr), 2 usage errors. With --json the single result
+name goes to stderr), 2 usage errors. A reader that closes stdout before
+the result is written (`surftop ... | head -1`) ends the run with exit 1
+and nothing on stderr, no traceback. With --json the single result
 object is printed in canonical form (sorted keys, no whitespace, no
 floats) so that parse + re-serialize is byte-identical. Output is plain
 text; nothing is colorized, so NO_COLOR needs no special handling.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from enum import Enum
 
@@ -239,7 +242,14 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not fail again (the recipe in the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 1

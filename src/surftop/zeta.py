@@ -17,7 +17,10 @@ split into the connected components of "two variables share a
 monomial", and a block of m variables gets its histogram from the
 representatives of P^(m-1), so only a form whose monomials connect all
 four variables costs O(q^3); every Fermat model has four blocks of one.
-The incidence model of Bl1P2 is linear in x for each fixed y in P1.
+The incidence model of Bl1P2 is linear in x for each fixed y in P1, and
+x -> c x permutes GF(q) for every unit c, so a term c x has one value
+histogram for c = 0 and one for all q - 1 units: two histograms serve
+every y.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
 at the cap a shipped model takes under a second. A hypersurface block
@@ -252,13 +255,19 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
     The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1.
     For each y the equation 0 * x0 + y1 x1 - y0 x2 = 0 is separable in x,
     so its points in P2 come from the value distributions of its terms.
+    The term c x has one histogram for c = 0 and one for every unit c,
+    since x -> c x permutes GF(q) (Lidl and Niederreiter, Finite Fields,
+    1983); FiniteField guarantees that every nonzero c is a unit. So the
+    q + 1 equations fall into three zero/nonzero patterns of (y1, -y0),
+    and the count costs O(q) field operations, not O(q^2).
     """
     units = Counter(x for x in field.elements() if x != field.zero)
-    linear_hist = functools.cache(lambda c: _orbit_hist(field, Counter([c]), units))
-    n = 0
-    for y0, y1 in projective_points(field, 1):
-        hists = [linear_hist(field.zero), linear_hist(y1), linear_hist(field.neg(y0))]
-        n += _projective_zeros(field, hists)
+    hist = {False: _orbit_hist(field, Counter([field.zero]), units),
+            True: _orbit_hist(field, Counter([field.one]), units)}
+    # -y0 is zero exactly when y0 is
+    zeros = functools.cache(
+        lambda y1_unit, y0_unit: _projective_zeros(field, [hist[False], hist[y1_unit], hist[y0_unit]]))
+    n = sum(zeros(y1 != field.zero, y0 != field.zero) for y0, y1 in projective_points(field, 1))
     return PointCount(variety="Bl1P2", q=field.q, count=n)
 
 

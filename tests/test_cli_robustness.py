@@ -11,13 +11,18 @@ composite, negative or otherwise refused before any counting.
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surftop
 from strategies import huge_symmetric_rows
 from surftop.cli import main
 
@@ -296,3 +301,25 @@ class TestHugeFieldSize:
         bits = (int(self.P) ** 3).bit_length()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"usage error: q = of {bits} bits exceeds the enumeration cap 343\n"
+
+
+class TestClosedStdout:
+    """A reader that is gone before the result is written, as in
+    `surftop counterexample ... | head -1`, used to get a BrokenPipeError
+    traceback from the print, or an "Exception ignored" line at exit."""
+
+    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+    def test_exit_1_and_nothing_on_stderr(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-B", "-m", "surftop.cli", "counterexample", "--primes", "2,3,5,7"],
+                env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", **unbuffered},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (1, "")

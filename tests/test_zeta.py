@@ -2,15 +2,18 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from oracles import OracleField, naive_affine_chart_count, naive_blowup_count
+from surftop import zeta
 from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
 from surftop.surfaces import compute_invariants, catalog_lookup
 from surftop.zeta import (
+    MAX_Q,
     MODELS,
     FiniteField,
     PointCount,
@@ -512,11 +515,46 @@ class TestBlowupAgainstOracle:
         assert count_blowup_p2(f).count == naive_blowup_count(f)
 
 
+class TestBlowupUnitClasses:
+    """Every fibre 0 x0 + y1 x1 - y0 x2 = 0 must reach _projective_zeros with
+    the value histograms of its own terms. The total cannot show this: each
+    fibre is a line of q + 1 points, so histograms swapped between the
+    patterns, or a unit histogram for the zero term, still sum to (q + 1)^2."""
+
+    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
+    def test_each_fibre_gets_its_terms_histograms(self, p, k, monkeypatch):
+        f = build_field(p, k)
+        built, calls = [], []
+        orbit_hist, projective_zeros = zeta._orbit_hist, zeta._projective_zeros
+        monkeypatch.setattr(zeta, "_orbit_hist", lambda *a: built.append(a) or orbit_hist(*a))
+        monkeypatch.setattr(
+            zeta, "_projective_zeros",
+            lambda field, hists: calls.append([dict(h) for h in hists]) or projective_zeros(field, hists))
+        count_blowup_p2(f)
+
+        def term_hist(c):
+            return dict(Counter(f.mul(c, x) for x in f.elements()))
+
+        assert len(built) == 2  # c = 0 and c = 1, never one per coefficient
+        for y0, y1 in projective_points(f, 1):
+            assert [term_hist(f.zero), term_hist(y1), term_hist(f.neg(y0))] in calls, (y0, y1)
+        assert len(calls) == 3  # one per zero/nonzero pattern of (y1, -y0)
+
+
 class TestAtTheCap:
     @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
     def test_blowup_closed_form(self, p, k):
         f = build_field(p, k)
         assert count_blowup_p2(f).count == (f.q + 1) ** 2
+
+    def test_blowup_closed_form_at_every_field(self):
+        fields = [build_field(p, k) for p in range(2, MAX_Q + 1) if is_prime(p)
+                  for k in (1, 2, 3) if p**k <= MAX_Q]
+        assert len(fields) == 79
+        start = time.perf_counter()
+        for f in fields:
+            assert count_blowup_p2(f).count == (f.q + 1) ** 2, f
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
     def test_fermat_weil_bound_at_good_primes(self, p, k):
