@@ -10,7 +10,12 @@ when it runs, so a command loads only those: `count` loads `zeta` alone.
 Exit codes: 0 success, 1 expected domain rejections (the stable error
 name goes to stderr), 2 usage errors. A reader that closes stdout before
 the result is written (`surftop ... | head -1`) ends the run with exit 1
-and nothing on stderr, no traceback. With --json the single result
+and nothing on stderr, no traceback. Once stdout and stderr are flushed,
+`main()` (the program: the `surftop` script, `python -m surftop.cli`)
+ends the process with `os._exit`, skipping interpreter teardown; so
+`atexit` handlers of an embedding process do not run, and `coverage run
+-m surftop.cli` saves no data. Callers that need the code
+back call `main(argv)`, which returns it. With --json the single result
 object is printed in canonical form (sorted keys, no whitespace, no
 floats) so that parse + re-serialize is byte-identical. Output is plain
 text; nothing is colorized, so NO_COLOR needs no special handling.
@@ -24,7 +29,6 @@ as InvalidInput.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from enum import Enum
@@ -33,6 +37,7 @@ from .errors import DomainError, InvalidInputError
 
 
 def _machine(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -42,6 +47,7 @@ def _fields(obj) -> dict:
 
 
 def _load_gram(path: str):
+    import json
     from .lattice import GramMatrix
     try:
         with open(path, "r") as fh:
@@ -239,16 +245,20 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+def _drop_stdout() -> None:
+    """The reader is gone: point stdout at devnull so that no later flush
+    fails again (the recipe in the `signal` docs)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _command(argv: list[str]) -> int:
     try:
-        code = run(args)
+        # inside the try: before 3.11 argparse lets a failed -h write raise
+        code = run(parse_args(argv))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so that the flush at
-        # exit does not fail again (the recipe in the `signal` docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         return 1
     except DomainError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
@@ -256,6 +266,29 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command. Given argv, return its exit code. Without it, run
+    sys.argv[1:] as the program: flush stdout and stderr and end the process
+    with that code, without interpreter teardown. argparse's SystemExit
+    (usage errors, -h) ends the same way; any other exception is a bug and
+    propagates."""
+    if argv is not None:
+        return _command(argv)
+    try:
+        code = _command(sys.argv[1:])
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 `tests/data/cli_golden.json` maps each case below to its exit code, its
 exact stdout and the error name that starts its stderr (null when stderr
-is empty). Every subcommand runs in text and --json mode. The file was
+is empty). Every subcommand runs in text and --json mode, each case both
+through `main(argv)` and as a program in its own process. The file was
 captured before the CLI's result path was refactored; rewrite it only for
 a deliberate change of output, with
 
@@ -12,14 +13,18 @@ a deliberate change of output, with
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import surftop
 from surftop.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+PROGRAM = "import sys; from surftop.cli import main; sys.exit(main())"
 
 E8 = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -95,8 +100,8 @@ CASES = {
 }
 
 
-def run_case(argv: list[str], gram_dir: Path) -> dict:
-    """Run main on argv; return its exit code, stdout and stderr error name."""
+def _with_grams(argv: list[str], gram_dir: Path) -> list[str]:
+    """argv with each "{gram:NAME}" replaced by a file written in gram_dir."""
     real = []
     for arg in argv:
         if arg.startswith("{gram:"):
@@ -105,15 +110,31 @@ def run_case(argv: list[str], gram_dir: Path) -> dict:
             path.write_text(json.dumps(GRAMS[name]))
             arg = str(path)
         real.append(arg)
+    return real
+
+
+def _result(code, stdout: str, stderr: str) -> dict:
+    return {"exit": code, "stdout": stdout, "error": stderr.split(":", 1)[0] if stderr else None}
+
+
+def run_case(argv: list[str], gram_dir: Path) -> dict:
+    """Run main on argv; return its exit code, stdout and stderr error name."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(real)
-    text = err.getvalue()
-    return {
-        "exit": code,
-        "stdout": out.getvalue(),
-        "error": text.split(":", 1)[0] if text else None,
-    }
+        code = main(_with_grams(argv, gram_dir))
+    return _result(code, out.getvalue(), err.getvalue())
+
+
+def run_program(argv: list[str], gram_dir: Path) -> dict:
+    """run_case through the program path: main() in a fresh process, which
+    ends it with os._exit. Strict UTF-8 decoding makes equal text mean
+    equal stdout bytes."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", PROGRAM, *_with_grams(argv, gram_dir)],
+        env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+    )
+    return _result(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
 
 
 def test_golden_covers_every_case():
@@ -124,6 +145,12 @@ def test_golden_covers_every_case():
 def test_cli_bytes(case, tmp_path):
     expected = json.loads(GOLDEN.read_text()).get(case)
     assert run_case(CASES[case], tmp_path) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_program_bytes(case, tmp_path):
+    expected = json.loads(GOLDEN.read_text()).get(case)
+    assert run_program(CASES[case], tmp_path) == expected
 
 
 if __name__ == "__main__":

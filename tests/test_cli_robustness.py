@@ -323,3 +323,89 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (out.returncode, out.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]], ids=" ".join)
+def test_help_to_closed_stdout_exits_1_and_nothing_on_stderr(argv, unbuffered):
+    """argparse prints help and raises SystemExit(0). The flush that finds
+    the reader gone used to come at interpreter exit, as exit 120 and an
+    "Exception ignored" line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-B", "-m", "surftop.cli", *argv],
+            env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", **unbuffered},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    # unbuffered, argparse from 3.11 on swallows the failed write itself and exits 0
+    assert out.returncode == 1 or (unbuffered and out.returncode == 0)
+    assert out.stderr == ""
+
+
+class TestProgramExit:
+    """main() is the program: it ends its process with os._exit once its
+    output is flushed, so interpreter teardown (atexit handlers included)
+    is skipped. main(argv) returns the code and leaves the process alone."""
+
+    ATEXIT = "import atexit, sys; atexit.register(lambda: sys.stderr.write('atexit ran\\n')); "
+    COUNT = ["count", "--variety", "fermat4", "--p", "5"]
+
+    def _run(self, code: str, argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-B", "-c", code, *argv],
+            env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": ""},
+            capture_output=True,
+            text=True,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (COUNT, 0, ""),
+            (["count", "--variety", "fermat4", "--p", "9"], 1, "NotPrime: 9 is not prime\n"),
+            (["count", "--variety", "fermat4", "--p", "347"], 2, "usage error: "),
+            (["frobnicate"], 2, "usage: "),
+        ],
+        ids=["success", "domain", "usage", "argparse"],
+    )
+    def test_program_skips_atexit(self, argv, code, error):
+        out = self._run(self.ATEXIT + "from surftop.cli import main; sys.exit(main())", argv)
+        assert out.returncode == code
+        assert out.stderr.startswith(error)
+        assert "atexit ran" not in out.stderr
+        if code == 0:
+            assert out.stdout == "fermat4 over GF(5): 0 points\n"
+
+    def test_program_help_reaches_stdout(self):
+        # argparse writes -h into the stdout buffer; only the final flush sends it
+        out = self._run(self.ATEXIT + "from surftop.cli import main; sys.exit(main())", ["count", "-h"])
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.startswith("usage: surftop count [-h]")
+
+    def test_main_argv_returns_and_atexit_runs(self):
+        out = self._run(
+            self.ATEXIT + "from surftop.cli import main; print('returned', main(sys.argv[1:]))",
+            self.COUNT,
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (
+            0, "fermat4 over GF(5): 0 points\nreturned 0\n", "atexit ran\n",
+        )
+
+    def test_bug_keeps_its_traceback_and_normal_exit(self):
+        out = self._run(
+            self.ATEXIT + "import surftop.cli as cli\n"
+            "def boom(args):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli._RUNNERS['count'] = boom\n"
+            "sys.exit(cli.main())",
+            self.COUNT,
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("Traceback (most recent call last):\n")
+        assert out.stderr.endswith("RuntimeError: boom\natexit ran\n")

@@ -174,3 +174,54 @@ def test_layer_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
     (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
     _, stdlib = _loaded_by(argv, tmp_path)
     assert stdlib == []
+
+
+def _json_loaded(code: str, cwd: Path) -> bool:
+    """Whether json is in sys.modules after a fresh process runs code."""
+    src = str(Path(surftop.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code + "\nprint('json' in sys.modules)"],
+        cwd=cwd,
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
+def _main_code(argv: list[str]) -> str:
+    return (
+        "import contextlib, io, sys, surftop.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert surftop.cli.main({argv!r}) == 0\n"
+    )
+
+
+def test_cli_import_loads_no_json(tmp_path):
+    assert not _json_loaded("import sys, surftop.cli", tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--variety", "fermat4", "--p", "5"], ["surface", "--name", "K3"]],
+    ids=lambda argv: argv[0],
+)
+def test_text_commands_load_no_json(argv, tmp_path):
+    assert not _json_loaded(_main_code(argv), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--gram", "h.json"],
+        ["count", "--variety", "fermat4", "--p", "5", "--json"],
+        ["surface", "--name", "K3", "--json"],
+        ["compare", "--a", "K3", "--b", "Bl1P2", "--json"],
+        ["counterexample", "--primes", "2", "--degrees", "1", "--json"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-1:]),
+)
+def test_json_io_loads_json(argv, tmp_path):
+    (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
+    assert _json_loaded(_main_code(argv), tmp_path)
