@@ -13,54 +13,22 @@ is the base of every value type in the layers.
 
 import importlib
 
-# public name -> the layer module that defines it
-_EXPORTS = {
-    "E8": "classification",
-    "HYPERBOLIC": "classification",
-    "ClassificationMode": "classification",
-    "DefiniteDiagonal": "classification",
-    "FormClass": "classification",
-    "IndefiniteEven": "classification",
-    "IndefiniteOdd": "classification",
-    "canonical_gram": "classification",
-    "classify_form": "classification",
-    "classify_gram": "classification",
-    "describe": "classification",
-    "forms_isomorphic": "classification",
-    "DomainError": "errors",
-    "FormInvariants": "lattice",
-    "GramMatrix": "lattice",
-    "Parity": "lattice",
-    "block_diag": "lattice",
-    "brute_force_isometry": "lattice",
-    "determinant": "lattice",
-    "diag": "lattice",
-    "invariants": "lattice",
-    "is_unimodular": "lattice",
-    "parity": "lattice",
-    "random_unimodular_transform": "lattice",
-    "SurfaceData": "surfaces",
-    "SurfaceInvariants": "surfaces",
-    "blow_up": "surfaces",
-    "catalog": "surfaces",
-    "catalog_lookup": "surfaces",
-    "compute_invariants": "surfaces",
-    "homeomorphic": "surfaces",
-    "hypersurface": "surfaces",
-    "intersection_form_class": "surfaces",
-    "FiniteField": "zeta",
-    "PointCount": "zeta",
-    "ZetaData": "zeta",
-    "build_field": "zeta",
-    "count_blowup_p2": "zeta",
-    "count_hypersurface_p3": "zeta",
-    "count_p1xp1": "zeta",
-    "count_variety": "zeta",
-    "counterexample_report": "zeta",
-    "fermat_form": "zeta",
-    "weil_bound_check": "zeta",
-    "zeta_counts": "zeta",
+# layer module -> the public names it defines
+_LAYERS = {
+    "classification": "E8 HYPERBOLIC ClassificationMode DefiniteDiagonal FormClass IndefiniteEven "
+                      "IndefiniteOdd canonical_gram classify_form classify_gram describe "
+                      "forms_isomorphic",
+    "errors": "DomainError",
+    "lattice": "FormInvariants GramMatrix Parity block_diag brute_force_isometry determinant diag "
+               "invariants is_unimodular parity random_unimodular_transform",
+    "surfaces": "SurfaceData SurfaceInvariants blow_up catalog catalog_lookup compute_invariants "
+                "homeomorphic hypersurface intersection_form_class",
+    "zeta": "FiniteField PointCount ZetaData build_field count_blowup_p2 count_hypersurface_p3 "
+            "count_p1xp1 count_variety counterexample_report fermat_form weil_bound_check "
+            "zeta_counts",
 }
+# public name -> the layer module that defines it
+_EXPORTS = {name: module for module, names in _LAYERS.items() for name in names.split()}
 
 __all__ = list(_EXPORTS)
 

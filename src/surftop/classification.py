@@ -13,15 +13,8 @@ from __future__ import annotations
 from enum import Enum
 
 from . import Record
-from .errors import (
-    DefiniteEvenUnrealizableError,
-    DefiniteNotClassifiedError,
-    DegenerateFormError,
-    EmptyFormError,
-    InconsistentEvenSignatureError,
-    NotUnimodularError,
-    int_text,
-)
+from .errors import (DefiniteEvenUnrealizableError, DefiniteNotClassifiedError, DegenerateFormError,
+                     EmptyFormError, InconsistentEvenSignatureError, NotUnimodularError, int_text)
 from .lattice import FormInvariants, GramMatrix, Parity, block_diag, diag, invariants
 
 
@@ -91,18 +84,16 @@ _VARIANTS = {cls.__name__: cls for cls in FormClass.__args__}
 
 # Standard even positive-definite rank-8 form: Gram matrix of the E8 root
 # basis (chain 0-1-2-3-4-5-6 with node 7 hanging off node 4), determinant 1.
-E8 = GramMatrix(
-    [
-        [2, -1, 0, 0, 0, 0, 0, 0],
-        [-1, 2, -1, 0, 0, 0, 0, 0],
-        [0, -1, 2, -1, 0, 0, 0, 0],
-        [0, 0, -1, 2, -1, 0, 0, 0],
-        [0, 0, 0, -1, 2, -1, 0, -1],
-        [0, 0, 0, 0, -1, 2, -1, 0],
-        [0, 0, 0, 0, 0, -1, 2, 0],
-        [0, 0, 0, 0, -1, 0, 0, 2],
-    ]
-)
+E8 = GramMatrix([
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, 0],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, -1],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, 0, 0, -1, 0, 0, 2],
+])
 
 MINUS_E8 = GramMatrix([[-v for v in row] for row in E8.entries])
 
@@ -126,14 +117,10 @@ def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:
         raise EmptyFormError("classification requires rank >= 1")
     r, s = inv.rank, inv.signature
     if inv.parity is Parity.EVEN and s % 8 != 0:
-        raise InconsistentEvenSignatureError(
-            f"even unimodular form cannot have signature {s}"
-        )
+        raise InconsistentEvenSignatureError(f"even unimodular form cannot have signature {s}")
     if abs(s) == r:
         if mode is ClassificationMode.ABSTRACT_LATTICE:
-            raise DefiniteNotClassifiedError(
-                "definite abstract lattices are not classified here"
-            )
+            raise DefiniteNotClassifiedError("definite abstract lattices are not classified here")
         if inv.parity is Parity.EVEN:
             raise DefiniteEvenUnrealizableError(
                 "no smooth simply-connected 4-manifold has an even definite form"

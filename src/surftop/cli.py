@@ -7,14 +7,22 @@ the equal-zeta / different-topology demonstration, and `count` points of
 a shipped model over GF(p^k). Each runner imports the layers it uses
 when it runs, so a command loads only those: `count` loads `zeta` alone.
 
+One table, _GRAMMAR, gives every option as argparse keyword arguments.
+Argv of the form every valid command takes is read straight from it:
+the command, then exact option names, each at most once, as `--opt
+VALUE` or `--flag`, where a VALUE starting with '-' is a negative integer.
+argparse is imported, and built from the same table, only for any other
+argv: -h, abbreviated options, `--opt=value`, `--`, usage errors. So
+help, usage errors and exit code 2 are argparse's own.
+
 Exit codes: 0 success, 1 expected domain rejections (the stable error
 name goes to stderr), 2 usage errors. A reader that closes stdout before
-the result is written (`surftop ... | head -1`) ends the run with exit 1
-and nothing on stderr, no traceback. Once stdout and stderr are flushed,
-`main()` (the program: the `surftop` script, `python -m surftop.cli`)
-ends the process with `os._exit`, skipping interpreter teardown; so
-`atexit` handlers of an embedding process do not run, and `coverage run
--m surftop.cli` saves no data. Callers that need the code
+the result or the help is written (`surftop ... | head -1`) ends the run
+with exit 1 and nothing on stderr, no traceback. Once stdout and stderr
+are flushed, `main()` (the program: the `surftop` script, `python -m
+surftop.cli`) ends the process with `os._exit`, skipping interpreter
+teardown; so `atexit` handlers of an embedding process do not run, and
+`coverage run -m surftop.cli` saves no data. Callers that need the code
 back call `main(argv)`, which returns it. With --json the single result
 object is printed in canonical form (sorted keys, no whitespace, no
 floats) so that parse + re-serialize is byte-identical. Output is plain
@@ -28,10 +36,10 @@ as InvalidInput.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from enum import Enum
+from types import SimpleNamespace
 
 from .errors import DomainError, InvalidInputError
 
@@ -72,88 +80,125 @@ def _surface_spec(spec: str):
     """The SurfaceData of a catalog name or of an inline 'c1sq,c2[,spin]'."""
     from .surfaces import SurfaceData
     parts = spec.split(",")
-    if len(parts) in (2, 3):
-        try:
-            c1_sq, c2 = int(parts[0]), int(parts[1])
-        except ValueError:
-            pass
-        else:
-            spin = False
-            if len(parts) == 3:
-                if parts[2] != "spin":
-                    raise InvalidInputError(f"bad surface spec {spec!r}: trailing part must be 'spin'")
-                spin = True
-            return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=spin)
-    return _catalog_surface(spec)
+    if len(parts) not in (2, 3):
+        return _catalog_surface(spec)
+    try:
+        c1_sq, c2 = int(parts[0]), int(parts[1])
+    except ValueError:
+        return _catalog_surface(spec)
+    if parts[2:] not in ([], ["spin"]):
+        raise InvalidInputError(f"bad surface spec {spec!r}: trailing part must be 'spin'")
+    return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=len(parts) == 3)
 
 
 def _primes_list(text: str) -> list[int]:
     try:
         primes = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from exc
+    except ValueError:
+        primes = None
     if not primes:
-        raise argparse.ArgumentTypeError("prime list is empty")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError("prime list is empty" if primes == [] else f"bad prime list {text!r}")
     return primes
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="surftop",
-        description="classify unimodular forms, decide surface homeomorphism, count points",
-    )
+# the grammar: command -> (help, {option: argparse keyword arguments})
+_SPEC = dict(required=True, metavar="SPEC", help="catalog name or 'c1sq,c2[,spin]'")
+_JSON = {"--json": dict(action="store_true", help="machine-readable output")}
+_GRAMMAR = {
+    "classify": ("classify a Gram matrix file", {
+        "--gram": dict(required=True, metavar="FILE", help="JSON Gram matrix"),
+        "--smooth": dict(action="store_true", help="assume the form is realized by a smooth "
+                         "4-manifold (enables definite classification)"), **_JSON}),
+    "surface": ("invariants and form class of a surface", {
+        "--name": dict(help="catalog surface name"),
+        "--c1sq": dict(type=int, help="c1^2 of the surface"),
+        "--c2": dict(type=int, help="topological Euler number"),
+        "--spin": dict(action="store_true", help="canonical class divisible by 2"), **_JSON}),
+    "compare": ("decide oriented homeomorphism of two surfaces", {"--a": _SPEC, "--b": _SPEC, **_JSON}),
+    "counterexample": ("equal zeta data vs non-homeomorphic surfaces, demonstrated by "
+                       "enumeration", {
+        "--primes": dict(required=True, type=_primes_list, metavar="P1,P2,..."),
+        "--degrees": dict(type=int, default=2, choices=(1, 2, 3)), **_JSON}),
+    "count": ("count points of a shipped model over GF(p^k)", {
+        "--variety": dict(required=True, help="P1xP1, Bl1P2, or fermat1..fermat6"),
+        "--p": dict(required=True, type=int, help="field characteristic"),
+        "--k": dict(type=int, default=1, help="extension degree (1..3)"), **_JSON}),
+}
+
+
+def _incomplete_surface(args) -> bool:
+    return args.command == "surface" and args.name is None and None in (args.c1sq, args.c2)
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argv read from _GRAMMAR, in the form that every valid command takes
+    (see the module docstring); None for any other argv."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    options, given, words = _GRAMMAR[argv[0]][1], {}, iter(argv[1:])
+    for option in words:
+        kwargs = options.get(option)
+        if kwargs is None or option in given:
+            return None
+        if "action" in kwargs:  # a store_true flag
+            given[option] = True
+            continue
+        text = next(words, None)
+        # argparse takes '-12' as a value, since no option looks like a negative number
+        if text is None or text.startswith("-") and not text[1:].isdecimal():
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse reports it
+            return None
+        if value not in kwargs.get("choices", [value]):
+            return None
+        given[option] = value
+    if any(kwargs.get("required") and option not in given for option, kwargs in options.items()):
+        return None
+    args = SimpleNamespace(command=argv[0], **{
+        option[2:]: given.get(option, kwargs.get("default", False if "action" in kwargs else None))
+        for option, kwargs in options.items()})
+    return None if _incomplete_surface(args) else args
+
+
+def _argparse_args(argv: list[str]):
+    """argv parsed by argparse, built from _GRAMMAR; SystemExit after help or usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            if message and file is sys.stdout:  # unlike argparse, a failed help write raises
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(prog="surftop", description="classify unimodular forms, decide surface "
+                    "homeomorphism, count points")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_classify = sub.add_parser("classify", help="classify a Gram matrix file")
-    p_classify.add_argument("--gram", required=True, metavar="FILE", help="JSON Gram matrix")
-    p_classify.add_argument(
-        "--smooth",
-        action="store_true",
-        help="assume the form is realized by a smooth 4-manifold (enables definite classification)",
-    )
-
-    p_surface = sub.add_parser("surface", help="invariants and form class of a surface")
-    p_surface.add_argument("--name", help="catalog surface name")
-    p_surface.add_argument("--c1sq", type=int, help="c1^2 of the surface")
-    p_surface.add_argument("--c2", type=int, help="topological Euler number")
-    p_surface.add_argument("--spin", action="store_true", help="canonical class divisible by 2")
-
-    p_compare = sub.add_parser("compare", help="decide oriented homeomorphism of two surfaces")
-    p_compare.add_argument("--a", required=True, metavar="SPEC", help="catalog name or 'c1sq,c2[,spin]'")
-    p_compare.add_argument("--b", required=True, metavar="SPEC", help="catalog name or 'c1sq,c2[,spin]'")
-
-    p_cex = sub.add_parser(
-        "counterexample",
-        help="equal zeta data vs non-homeomorphic surfaces, demonstrated by enumeration",
-    )
-    p_cex.add_argument("--primes", required=True, type=_primes_list, metavar="P1,P2,...")
-    p_cex.add_argument("--degrees", type=int, default=2, choices=(1, 2, 3))
-
-    p_count = sub.add_parser("count", help="count points of a shipped model over GF(p^k)")
-    p_count.add_argument("--variety", required=True, help="P1xP1, Bl1P2, or fermat1..fermat6")
-    p_count.add_argument("--p", required=True, type=int, help="field characteristic")
-    p_count.add_argument("--k", type=int, default=1, help="extension degree (1..3)")
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
+    for command, (help_text, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_text)
+        for option, kwargs in options.items():
+            p.add_argument(option, **kwargs)
     args = parser.parse_args(argv)
-    if args.command == "surface" and args.name is None and (
-        args.c1sq is None or args.c2 is None
-    ):
-        p_surface.error("need --name, or both --c1sq and --c2")
+    if _incomplete_surface(args):
+        sub.choices["surface"].error("need --name, or both --c1sq and --c2")
     return args
+
+
+def parse_args(argv: list[str]):
+    """The command and options of argv, read directly or, for any other form
+    of argv, by argparse, which raises SystemExit after help or usage errors."""
+    return _read_argv(argv) or _argparse_args(argv)
 
 
 def _run_classify(args) -> tuple[dict, list[str]]:
     from .classification import ClassificationMode, class_to_dict, classify_form, describe
     from .lattice import invariants
     m = _load_gram(args.gram)
-    mode = (
-        ClassificationMode.SMOOTH_FOUR_MANIFOLD
-        if args.smooth
-        else ClassificationMode.ABSTRACT_LATTICE
-    )
+    mode = (ClassificationMode.SMOOTH_FOUR_MANIFOLD if args.smooth
+            else ClassificationMode.ABSTRACT_LATTICE)
     inv = invariants(m)
     cls = classify_form(inv, mode)
     text = [
@@ -236,7 +281,7 @@ _RUNNERS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     """Dispatch a parsed command and print its result: the canonical JSON
     payload under --json, the text lines otherwise. May raise DomainError
     or ValueError."""
@@ -253,7 +298,7 @@ def _drop_stdout() -> None:
 
 def _command(argv: list[str]) -> int:
     try:
-        # inside the try: before 3.11 argparse lets a failed -h write raise
+        # inside the try: a -h write to a reader that is gone raises here
         code = run(parse_args(argv))
         sys.stdout.flush()
         return code

@@ -26,7 +26,8 @@ The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
 at the cap a shipped model takes under a second. A hypersurface block
 may have no more representatives than P2 over GF(MAX_Q), so a form
 connecting all four variables, which would visit about 4 * 10^7
-representatives of P3 at the cap, is refused above q = 47.
+representatives of P3 at the cap, is refused above q = 47; a form with
+more monomial evaluations than MAX_EVAL_WORK is refused too.
 FiniteField refuses q > MAX_Q before it tests p for primality and picks
 its own irreducible modulus, so every nonzero element is a unit.
 Smoothness of user-supplied forms mod p is not verified; Weil-bound
@@ -46,6 +47,9 @@ MAX_Q = 343
 # representatives of P2 over GF(MAX_Q): a block of up to three variables
 # always fits, a block of four only up to q = 47
 MAX_BLOCK_REPS = MAX_Q**2 + MAX_Q + 1
+# monomial evaluations over the block representatives, plus power-table
+# entries: five monomials on a block of three variables fit at MAX_Q
+MAX_EVAL_WORK = 600_000
 
 
 def _is_int(v) -> bool:
@@ -281,13 +285,14 @@ def count_hypersurface_p3(
     coeffs maps exponent quadruples to integer coefficients; they are
     reduced mod p, and a form vanishing identically mod p is refused.
     The form is a sum of block forms on the connected components of "two
-    variables share a monomial"; a block of m variables costs its
-    q^(m-1)+...+1 representatives of P^(m-1), so only a form connecting
-    all four variables is O(q^3). A block with more than MAX_BLOCK_REPS
-    representatives is refused before any counting, so a form connecting
-    all four variables is counted only up to q = 47 (1.4 s there). The
-    cubic x0^3+x1^3+x2^3+x3^3+x0x1x2 (blocks of three and one) takes
-    0.08 s at q = 49 and 4.4 s at q = 343 on a 2-vCPU Xeon VM.
+    variables share a monomial"; each monomial of a block of m variables
+    is evaluated at the q^(m-1)+...+1 representatives of P^(m-1). Before
+    any table is built, a block with more than MAX_BLOCK_REPS
+    representatives is refused (so a form connecting all four variables
+    counts only up to q = 47), and so is a form whose evaluations plus
+    power-table entries exceed MAX_EVAL_WORK. At q = 343 the cubic
+    x0^3+x1^3+x2^3+x3^3+x0x1x2 needs 4.7 * 10^5 of these and takes 4.4 s
+    on a 2-vCPU Xeon VM.
     """
     for e, c in coeffs.items():
         if not (isinstance(e, tuple) and len(e) == 4 and all(_is_int(x) and x >= 0 for x in e)):
@@ -307,6 +312,8 @@ def count_hypersurface_p3(
         hit = [b for b in blocks if any(e[i] for i in b)]
         blocks = [b for b in blocks if b not in hit] + [sum(hit, [])]
     q = field.q
+    exponents = {d for e in reduced for d in e if d} | {degree}
+    work = len(exponents) * q  # the power tables
     for block in blocks:
         reps = (q ** len(block) - 1) // (q - 1)
         if reps > MAX_BLOCK_REPS:
@@ -314,8 +321,11 @@ def count_hypersurface_p3(
                 f"a block of {len(block)} variables has {int_text(reps)} representatives "
                 f"over GF({q}), more than the block cap {MAX_BLOCK_REPS}"
             )
+        work += reps * sum(1 for e in reduced if any(e[i] for i in block))
+    if work > MAX_EVAL_WORK:
+        raise ValueError(
+            f"evaluation work {int_text(work)} over GF({q}) exceeds the cap {MAX_EVAL_WORK}")
     terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
-    exponents = {d for e in reduced for d in e if d} | {degree}
     powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
     dth = Counter(v for x, v in powers[degree].items() if x != field.zero)
     hists = []
@@ -353,17 +363,6 @@ MODELS = {
     "Bl1P2": ("Bl1P2", None),
     **{f"fermat{d}": (f"deg{d}", d) for d in range(1, 7)},
 }
-
-
-def model_surface_name(variety: str) -> str:
-    """Catalog surface carrying the Betti data of a countable model."""
-    return MODELS[variety][0]
-
-
-def model_has_good_reduction(variety: str, p: int) -> bool:
-    """True when the shipped model is smooth mod p (Fermat: p does not divide d)."""
-    d = MODELS[variety][1]
-    return True if d is None else d % p != 0
 
 
 def count_variety(variety: str, field: FiniteField) -> PointCount:

@@ -11,7 +11,9 @@ value distributions. The point counts do their field arithmetic in
 OracleField, built from p, k and the modulus alone, so a fault in the
 production field cannot show up on both sides of a comparison. Seeded
 unimodular mixes are replayed by the whole-matrix loop that the O(n)
-addition step of random_unimodular_transform replaced.
+addition step of random_unimodular_transform replaced. The facts about
+the shipped models that only the tests read (which catalog surface a
+model carries, and where it has good reduction) live here too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+
+from surftop.zeta import MODELS
 
 
 def cofactor_determinant(rows) -> int:
@@ -230,3 +234,14 @@ def naive_blowup_count(field) -> int:
             if f.mul(x[1], y[1]) == f.mul(x[2], y[0]):
                 n += 1
     return n
+
+
+def model_surface_name(variety: str) -> str:
+    """Catalog surface carrying the Betti data of a countable model."""
+    return MODELS[variety][0]
+
+
+def model_has_good_reduction(variety: str, p: int) -> bool:
+    """True when the shipped model is smooth mod p (Fermat: p does not divide d)."""
+    d = MODELS[variety][1]
+    return True if d is None else d % p != 0

@@ -11,6 +11,7 @@ import random
 import time
 from pathlib import Path
 
+from oracles import model_has_good_reduction, model_surface_name
 from surftop.classification import (
     E8,
     HYPERBOLIC,
@@ -52,8 +53,6 @@ from surftop.zeta import (
     count_variety,
     fermat_form,
     count_hypersurface_p3,
-    model_has_good_reduction,
-    model_surface_name,
     weil_bound_check,
 )
 

@@ -8,7 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import OracleField, naive_affine_chart_count, naive_blowup_count
+from oracles import (
+    OracleField,
+    model_has_good_reduction,
+    model_surface_name,
+    naive_affine_chart_count,
+    naive_blowup_count,
+)
 from surftop import zeta
 from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
 from surftop.surfaces import compute_invariants, catalog_lookup
@@ -26,8 +32,6 @@ from surftop.zeta import (
     counterexample_report,
     fermat_form,
     is_prime,
-    model_has_good_reduction,
-    model_surface_name,
     projective_points,
     weil_bound_check,
     zeta_counts,
@@ -484,6 +488,50 @@ class TestBlockCap:
         cubic = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1, (1, 1, 1, 0): 1}
         with pytest.raises(self.Reached):
             count_hypersurface_p3(cubic, build_field(7, 3))
+
+
+# every monomial of degree 44 in x0, x1, x2, plus x3^44: one block of three
+# variables with 1035 monomials, which counted in 0.5 s at q = 13, 7.2 s at
+# q = 25 and was admitted by the block cap up to q = 343
+WIDE_FORM = {(a, b, 44 - a - b, 0): 1 for a in range(45) for b in range(45 - a)} | {(0, 0, 0, 44): 1}
+
+
+class TestEvalWorkCap:
+    """Monomial evaluations over the block representatives plus power-table
+    entries may not exceed MAX_EVAL_WORK = 600000; checked before any table."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def reached(*args):
+            raise self.Reached
+
+        monkeypatch.setattr(FiniteField, "pow", reached)
+
+    def test_wide_form_refused_at_the_cap_at_once(self, no_tables):
+        assert len(WIDE_FORM) == 1036
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            count_hypersurface_p3(WIDE_FORM, build_field(7, 3))
+        assert time.perf_counter() - start < 1.0
+        # 117993 * 1035 + 1 * 1 + 44 exponents * 343
+        assert str(info.value) == "evaluation work 122137848 over GF(343) exceeds the cap 600000"
+
+    @pytest.mark.parametrize("p,k,refused", [(13, 1, False), (19, 1, False), (23, 1, False), (5, 2, True)])
+    def test_wide_form_boundary(self, no_tables, p, k, refused):
+        # at q = 23: 553 * 1035 + 1 + 44 * 23 = 573368; at q = 25: 651 * 1035 + 1 + 44 * 25 = 674886
+        with pytest.raises(ValueError if refused else self.Reached):
+            count_hypersurface_p3(WIDE_FORM, build_field(p, k))
+
+    @pytest.mark.parametrize("extra,refused", [(1, False), (2, True)])
+    def test_mixed_cubic_boundary_at_the_cap(self, no_tables, extra, refused):
+        # the mixed cubic (4 * 117993 + 1 + 2 * 343 = 472659) fits, and so
+        # does one more monomial (590995); two more (708988) do not
+        more = dict([((2, 1, 0, 0), 1), ((0, 2, 1, 0), 1)][:extra])
+        with pytest.raises(ValueError if refused else self.Reached):
+            count_hypersurface_p3(MIXED_CUBIC | more, build_field(7, 3))
 
 
 class TestDiagonalAgainstOracle:
