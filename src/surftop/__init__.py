@@ -16,16 +16,13 @@ import importlib
 # layer module -> the public names it defines
 _LAYERS = {
     "classification": "E8 HYPERBOLIC ClassificationMode DefiniteDiagonal FormClass IndefiniteEven "
-                      "IndefiniteOdd canonical_gram classify_form classify_gram describe "
-                      "forms_isomorphic",
+                      "IndefiniteOdd canonical_gram classify_form describe forms_isomorphic",
     "errors": "DomainError",
-    "lattice": "FormInvariants GramMatrix Parity block_diag brute_force_isometry determinant diag "
-               "invariants is_unimodular parity random_unimodular_transform",
+    "lattice": "FormInvariants GramMatrix Parity block_diag determinant diag invariants parity",
     "surfaces": "SurfaceData SurfaceInvariants blow_up catalog catalog_lookup compute_invariants "
                 "homeomorphic hypersurface intersection_form_class",
-    "zeta": "FiniteField PointCount ZetaData build_field count_blowup_p2 count_hypersurface_p3 "
-            "count_p1xp1 count_variety counterexample_report fermat_form weil_bound_check "
-            "zeta_counts",
+    "zeta": "FiniteField PointCount build_field count_blowup_p2 count_hypersurface_p3 count_p1xp1 "
+            "count_variety counterexample_report fermat_form",
 }
 # public name -> the layer module that defines it
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names.split()}

@@ -131,11 +131,6 @@ def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:
     return IndefiniteEven(e8_signed_count=s // 8, h_count=(r - abs(s)) // 2)
 
 
-def classify_gram(m: GramMatrix, mode: ClassificationMode) -> FormClass:
-    """classify_form applied to the computed invariants of m."""
-    return classify_form(invariants(m), mode)
-
-
 def canonical_gram(c: FormClass) -> GramMatrix:
     """Block-diagonal Gram matrix realizing the class.
 
@@ -159,7 +154,7 @@ def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> 
     forms it is isometry under the smooth-realizability hypothesis, and
     abstract definite input is refused (never silently compared).
     """
-    return classify_gram(a, mode) == classify_gram(b, mode)
+    return classify_form(invariants(a), mode) == classify_form(invariants(b), mode)
 
 
 def class_to_dict(c: FormClass) -> dict:

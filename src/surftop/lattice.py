@@ -9,8 +9,6 @@ from one fraction-free symmetric elimination pass.
 
 from __future__ import annotations
 
-import itertools
-import random
 from enum import Enum
 from math import isqrt
 
@@ -185,10 +183,6 @@ def parity(m: GramMatrix) -> Parity:
     return Parity.ODD
 
 
-def is_unimodular(m: GramMatrix) -> bool:
-    return determinant(m) in (1, -1)
-
-
 def invariants(m: GramMatrix) -> FormInvariants:
     """Full invariant tuple (rank, b+, b-, signature, parity, determinant)."""
     pos, neg, _ = _eliminate(m)
@@ -203,113 +197,7 @@ def invariants(m: GramMatrix) -> FormInvariants:
     )
 
 
-DEFAULT_ENTRY_CAP = 10**6
 # cap on n^2 * H * isqrt(H), H the Hadamard bit bound of a rank-n form (see
-# _eliminate): every form of rank <= 200 with entries within DEFAULT_ENTRY_CAP
-# stays under two thirds of it, a rank-14 form of 4300-digit entries just under
+# _eliminate): every form of rank <= 200 with entries within 10**6 stays under
+# two thirds of it, a rank-14 form of 4300-digit entries just under
 MAX_ELIMINATION_WORK = 2 * 10**10
-
-
-def random_unimodular_transform(
-    m: GramMatrix, seed: int, steps: int, max_entry: int = DEFAULT_ENTRY_CAP
-) -> GramMatrix:
-    """Congruent matrix P^T m P for a seed-determined unimodular P.
-
-    P is a product of at most `steps` elementary integer operations
-    (add +/- one row into another with the matching column operation,
-    swap two basis vectors, negate one); an addition step that would push
-    any entry beyond max_entry in absolute value is skipped, so entry
-    growth stays bounded. steps = 0 returns m unchanged.
-    """
-    n = m.n
-    if n == 0 or steps == 0:
-        return m
-    rng = random.Random(seed)
-    a = [list(row) for row in m.entries]
-    wide = sum(abs(v) > max_entry for r in a for v in r)  # past the cap; 0 after an addition
-    # additions do the real mixing; swaps and negations only reshuffle
-    kinds = ("add", "add", "add", "swap", "negate") if n >= 2 else ("negate",)
-    for _ in range(steps):
-        kind = rng.choice(kinds)
-        if kind == "negate":
-            i = rng.randrange(n)
-            for t in range(n):
-                a[i][t] = -a[i][t]
-            for t in range(n):
-                a[t][i] = -a[t][i]
-        elif kind == "swap":
-            i, j = rng.sample(range(n), 2)
-            a[i], a[j] = a[j], a[i]
-            for t in range(n):
-                a[t][i], a[t][j] = a[t][j], a[t][i]
-        else:
-            # touches only row and column i; skipped if the new row or any other entry is past the cap
-            i, j = rng.sample(range(n), 2)
-            s = rng.choice((1, -1))
-            row = [x + s * y for x, y in zip(a[i], a[j])]
-            row[i] = a[i][i] + 2 * s * a[i][j] + a[j][j]
-            if any(abs(v) > max_entry for v in row) or (
-                wide and wide != 2 * sum(abs(v) > max_entry for v in a[i]) - (abs(a[i][i]) > max_entry)
-            ):
-                continue
-            a[i] = row
-            for t in range(n):
-                a[t][i] = row[t]
-            wide = 0
-    return GramMatrix(a)
-
-
-def brute_force_isometry(
-    a: GramMatrix, b: GramMatrix, bound: int
-) -> tuple[tuple[int, ...], ...] | None:
-    """Exhaustive search for P with P^T a P = b and det P = +/-1.
-
-    Searches integer matrices with entries in [-bound, bound], filling
-    columns left to right in lexicographic entry order and pruning any
-    partial column set that already violates the target Gram products.
-    Returns the first complete match (a tuple of rows), or None when no
-    matrix in range works. Intended for rank <= 3 and small bounds.
-    """
-    n = a.n
-    if b.n != n:
-        raise ValueError("forms must have equal rank")
-    if n == 0:
-        return ()
-    candidates = list(itertools.product(range(-bound, bound + 1), repeat=n))
-    ae = a.entries
-    be = b.entries
-
-    def a_times(v):
-        return [sum(ae[r][s] * v[s] for s in range(n)) for r in range(n)]
-
-    cols: list[tuple[int, ...]] = []
-    a_cols: list[list[int]] = []
-
-    def extend(i: int):
-        for v in candidates:
-            ok = True
-            for j in range(i):
-                if sum(a_cols[j][r] * v[r] for r in range(n)) != be[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            av = a_times(v)
-            if sum(av[r] * v[r] for r in range(n)) != be[i][i]:
-                continue
-            cols.append(v)
-            a_cols.append(av)
-            if i + 1 == n:
-                # det(P^T P) = det(P)^2, so P is unimodular iff this is 1
-                gram = tuple(tuple(sum(x * y for x, y in zip(u, v)) for v in cols) for u in cols)
-                if determinant(GramMatrix(gram)) == 1:
-                    return tuple(zip(*cols))
-            else:
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-            cols.pop()
-            a_cols.pop()
-        return None
-
-    return extend(0)

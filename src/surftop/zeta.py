@@ -30,8 +30,7 @@ representatives of P3 at the cap, is refused above q = 47; a form with
 more monomial evaluations than MAX_EVAL_WORK is refused too.
 FiniteField refuses q > MAX_Q before it tests p for primality and picks
 its own irreducible modulus, so every nonzero element is a unit.
-Smoothness of user-supplied forms mod p is not verified; Weil-bound
-checks are authoritative only for the shipped models at good primes.
+Smoothness of user-supplied forms mod p is not verified.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class FiniteField:
 
     def pow(self, a, e: int):
         if e < 0:
-            raise ValueError("negative exponent; use inv")
+            raise ValueError("negative exponent")
         result = self.one
         base = a
         while e:
@@ -155,11 +154,6 @@ class FiniteField:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return self.pow(a, self.q - 2)
 
 
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
@@ -181,21 +175,6 @@ class PointCount(Record):
     variety: str
     q: int
     count: int
-
-
-class ZetaData(Record):
-    """Counts of one variety over q = p, p^2, ... (extensional zeta data)."""
-
-    variety: str
-    p: int
-    counts: tuple[PointCount, ...]
-
-    def __post_init__(self):
-        qs = [c.q for c in self.counts]
-        if qs != sorted(set(qs)):
-            raise ValueError("counts must be ordered by strictly increasing q")
-        if any(c.variety != self.variety for c in self.counts):
-            raise ValueError("counts must all concern the same variety")
 
 
 def projective_points(field: FiniteField, n: int):
@@ -375,22 +354,6 @@ def count_variety(variety: str, field: FiniteField) -> PointCount:
         return count_blowup_p2(field)
     d = MODELS[variety][1]
     return count_hypersurface_p3(fermat_form(d), field, variety=variety)
-
-
-def zeta_counts(variety: str, p: int, degrees: int) -> ZetaData:
-    """Counts of one model over GF(p), ..., GF(p^degrees)."""
-    fields = [build_field(p, k) for k in range(1, degrees + 1)]
-    counts = tuple(count_variety(variety, f) for f in fields)
-    return ZetaData(variety=variety, p=p, counts=counts)
-
-
-def weil_bound_check(c: PointCount, b2: int) -> bool:
-    """|N - 1 - q^2| <= b2 * q for a smooth surface with b1 = 0.
-
-    Frobenius eigenvalues on middle cohomology have absolute value q,
-    while b0 and b4 contribute 1 and q^2.
-    """
-    return abs(c.count - 1 - c.q * c.q) <= b2 * c.q
 
 
 def counterexample_report(primes: list[int], degrees: int = 2) -> dict:

@@ -11,9 +11,14 @@ value distributions. The point counts do their field arithmetic in
 OracleField, built from p, k and the modulus alone, so a fault in the
 production field cannot show up on both sides of a comparison. Seeded
 unimodular mixes are replayed by the whole-matrix loop that the O(n)
-addition step of random_unimodular_transform replaced. The facts about
-the shipped models that only the tests read (which catalog surface a
-model carries, and where it has good reduction) live here too.
+addition step of strategies.random_unimodular_transform replaced.
+
+Two checks stand beside them: brute_force_isometry searches small
+integer matrices for a witness that two forms are isometric, and
+weil_bound_check holds a count of a smooth surface to the Weil bound.
+The facts about the shipped models that only the tests read (which
+catalog surface a model carries, and where it has good reduction) live
+here too.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import itertools
 import random
 from functools import lru_cache
 
-from surftop.zeta import MODELS
+from surftop.lattice import GramMatrix, determinant
+from surftop.zeta import MODELS, PointCount
 
 
 def cofactor_determinant(rows) -> int:
@@ -245,3 +251,68 @@ def model_has_good_reduction(variety: str, p: int) -> bool:
     """True when the shipped model is smooth mod p (Fermat: p does not divide d)."""
     d = MODELS[variety][1]
     return True if d is None else d % p != 0
+
+
+def brute_force_isometry(
+    a: GramMatrix, b: GramMatrix, bound: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """Exhaustive search for P with P^T a P = b and det P = +/-1.
+
+    Searches integer matrices with entries in [-bound, bound], filling
+    columns left to right in lexicographic entry order and pruning any
+    partial column set that already violates the target Gram products.
+    Returns the first complete match (a tuple of rows), or None when no
+    matrix in range works. Intended for rank <= 3 and small bounds.
+    """
+    n = a.n
+    if b.n != n:
+        raise ValueError("forms must have equal rank")
+    if n == 0:
+        return ()
+    candidates = list(itertools.product(range(-bound, bound + 1), repeat=n))
+    ae = a.entries
+    be = b.entries
+
+    def a_times(v):
+        return [sum(ae[r][s] * v[s] for s in range(n)) for r in range(n)]
+
+    cols: list[tuple[int, ...]] = []
+    a_cols: list[list[int]] = []
+
+    def extend(i: int):
+        for v in candidates:
+            ok = True
+            for j in range(i):
+                if sum(a_cols[j][r] * v[r] for r in range(n)) != be[i][j]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            av = a_times(v)
+            if sum(av[r] * v[r] for r in range(n)) != be[i][i]:
+                continue
+            cols.append(v)
+            a_cols.append(av)
+            if i + 1 == n:
+                # det(P^T P) = det(P)^2, so P is unimodular iff this is 1
+                gram = tuple(tuple(sum(x * y for x, y in zip(u, v)) for v in cols) for u in cols)
+                if determinant(GramMatrix(gram)) == 1:
+                    return tuple(zip(*cols))
+            else:
+                found = extend(i + 1)
+                if found is not None:
+                    return found
+            cols.pop()
+            a_cols.pop()
+        return None
+
+    return extend(0)
+
+
+def weil_bound_check(c: PointCount, b2: int) -> bool:
+    """|N - 1 - q^2| <= b2 * q for a smooth surface with b1 = 0.
+
+    Frobenius eigenvalues on middle cohomology have absolute value q,
+    while b0 and b4 contribute 1 and q^2.
+    """
+    return abs(c.count - 1 - c.q * c.q) <= b2 * c.q

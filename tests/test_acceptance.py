@@ -11,7 +11,13 @@ import random
 import time
 from pathlib import Path
 
-from oracles import model_has_good_reduction, model_surface_name
+from oracles import (
+    brute_force_isometry,
+    model_has_good_reduction,
+    model_surface_name,
+    weil_bound_check,
+)
+from strategies import random_unimodular_transform
 from surftop.classification import (
     E8,
     HYPERBOLIC,
@@ -22,7 +28,6 @@ from surftop.classification import (
     IndefiniteOdd,
     canonical_gram,
     classify_form,
-    classify_gram,
     forms_isomorphic,
 )
 from surftop.errors import InconsistentEvenSignatureError
@@ -31,11 +36,9 @@ from surftop.lattice import (
     GramMatrix,
     Parity,
     block_diag,
-    brute_force_isometry,
     determinant,
     diag,
     invariants,
-    random_unimodular_transform,
 )
 from surftop.surfaces import (
     blow_up,
@@ -53,7 +56,6 @@ from surftop.zeta import (
     count_variety,
     fermat_form,
     count_hypersurface_p3,
-    weil_bound_check,
 )
 
 ABSTRACT = ClassificationMode.ABSTRACT_LATTICE
@@ -174,7 +176,7 @@ def test_criterion_4_classification_round_trip():
         ok = True
         for cls in grid:
             mode = SMOOTH if isinstance(cls, DefiniteDiagonal) else ABSTRACT
-            if classify_gram(canonical_gram(cls), mode) != cls:
+            if classify_form(invariants(canonical_gram(cls)), mode) != cls:
                 ok = False
                 break
     _report(

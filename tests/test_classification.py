@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_isometry
+from strategies import random_unimodular_transform
 from surftop.classification import (
     E8,
     HYPERBOLIC,
@@ -14,7 +16,6 @@ from surftop.classification import (
     class_from_dict,
     class_to_dict,
     classify_form,
-    classify_gram,
     describe,
     forms_isomorphic,
 )
@@ -30,12 +31,10 @@ from surftop.lattice import (
     FormInvariants,
     GramMatrix,
     Parity,
-    brute_force_isometry,
     determinant,
     diag,
     invariants,
     parity,
-    random_unimodular_transform,
 )
 
 ABSTRACT = ClassificationMode.ABSTRACT_LATTICE
@@ -135,22 +134,22 @@ class TestRejectionMessages:
 
 class TestClassifyGram:
     def test_hyperbolic(self):
-        assert classify_gram(H, ABSTRACT) == IndefiniteEven(0, 1)
+        assert classify_form(invariants(H), ABSTRACT) == IndefiniteEven(0, 1)
 
     def test_odd_diagonal(self):
-        assert classify_gram(diag(1, 1, -1), ABSTRACT) == IndefiniteOdd(2, 1)
+        assert classify_form(invariants(diag(1, 1, -1)), ABSTRACT) == IndefiniteOdd(2, 1)
 
     def test_e8_refused_abstract(self):
         with pytest.raises(DefiniteNotClassifiedError):
-            classify_gram(E8, ABSTRACT)
+            classify_form(invariants(E8), ABSTRACT)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateFormError):
-            classify_gram(diag(1, 0), ABSTRACT)
+            classify_form(invariants(diag(1, 0)), ABSTRACT)
 
     def test_not_unimodular(self):
         with pytest.raises(NotUnimodularError):
-            classify_gram(diag(2, -1), ABSTRACT)
+            classify_form(invariants(diag(2, -1)), ABSTRACT)
 
 
 class TestCanonicalGram:
@@ -192,7 +191,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("cls", _classes_up_to(12), ids=describe)
     def test_classify_canonical_gram(self, cls):
         mode = SMOOTH if isinstance(cls, DefiniteDiagonal) else ABSTRACT
-        assert classify_gram(canonical_gram(cls), mode) == cls
+        assert classify_form(invariants(canonical_gram(cls)), mode) == cls
 
     def test_rank_sigma_reconstruction(self):
         for cls in _classes_up_to(12):
@@ -233,7 +232,7 @@ class TestBasisIndependence:
         mode = SMOOTH if isinstance(cls, DefiniteDiagonal) else ABSTRACT
         m = canonical_gram(cls)
         moved = random_unimodular_transform(m, seed, steps)
-        assert classify_gram(moved, mode) == cls
+        assert classify_form(invariants(moved), mode) == cls
 
 
 class TestEvenSignatureTheorem:

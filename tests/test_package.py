@@ -13,31 +13,29 @@ from surftop import classification, errors, lattice, surfaces, zeta
 PUBLIC = {
     classification: {
         "E8", "HYPERBOLIC", "ClassificationMode", "DefiniteDiagonal", "FormClass",
-        "IndefiniteEven", "IndefiniteOdd", "canonical_gram", "classify_form",
-        "classify_gram", "describe", "forms_isomorphic",
+        "IndefiniteEven", "IndefiniteOdd", "canonical_gram", "classify_form", "describe",
+        "forms_isomorphic",
     },
     errors: {"DomainError"},
     lattice: {
-        "FormInvariants", "GramMatrix", "Parity", "block_diag", "brute_force_isometry",
-        "determinant", "diag", "invariants", "is_unimodular", "parity",
-        "random_unimodular_transform",
+        "FormInvariants", "GramMatrix", "Parity", "block_diag", "determinant", "diag",
+        "invariants", "parity",
     },
     surfaces: {
         "SurfaceData", "SurfaceInvariants", "blow_up", "catalog", "catalog_lookup",
         "compute_invariants", "homeomorphic", "hypersurface", "intersection_form_class",
     },
     zeta: {
-        "FiniteField", "PointCount", "ZetaData", "build_field", "count_blowup_p2",
-        "count_hypersurface_p3", "count_p1xp1", "count_variety", "counterexample_report",
-        "fermat_form", "weil_bound_check", "zeta_counts",
+        "FiniteField", "PointCount", "build_field", "count_blowup_p2", "count_hypersurface_p3",
+        "count_p1xp1", "count_variety", "counterexample_report", "fermat_form",
     },
 }
 OWNER = {name: module for module, names in PUBLIC.items() for name in names}
 
 
-def test_all_lists_the_45_public_names():
-    assert len(OWNER) == 45
-    assert len(surftop.__all__) == 45
+def test_all_lists_the_38_public_names():
+    assert len(OWNER) == 38
+    assert len(surftop.__all__) == 38
     assert set(surftop.__all__) == set(OWNER)
 
 
@@ -108,19 +106,21 @@ def test_cli_start_loads_no_rational_arithmetic():
 
 
 def _loaded_by(argv: list[str], cwd: Path) -> tuple[list[str], list[str]]:
-    """(surftop modules, of dataclasses and inspect those loaded) after a
-    fresh process runs surftop.cli.main(argv) with stdout captured."""
+    """(surftop modules, of dataclasses, inspect and random those loaded)
+    after a fresh process runs surftop.cli.main(argv) with stdout captured.
+    The process starts without site (-S), so that no .pth file imports a
+    module before surftop does."""
     code = (
         "import contextlib, io, sys, surftop.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = surftop.cli.main({argv!r})\n"
         "assert code == 0, code\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'surftop')))\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules))"
     )
     src = str(Path(surftop.__file__).parents[1])
     out = subprocess.run(
-        [sys.executable, "-B", "-c", code],
+        [sys.executable, "-S", "-B", "-c", code],
         cwd=cwd,
         env={"PYTHONPATH": src, "PATH": ""},
         capture_output=True,
@@ -170,7 +170,7 @@ def test_counterexample_loads_every_layer(tmp_path):
     ],
     ids=lambda argv: argv[0],
 )
-def test_layer_commands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+def test_layer_commands_load_no_dataclasses_inspect_or_random(argv, tmp_path):
     (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
     _, stdlib = _loaded_by(argv, tmp_path)
     assert stdlib == []

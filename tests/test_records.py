@@ -1,4 +1,4 @@
-"""What callers see of the nine value records, whatever implements them.
+"""What callers see of the eight value records, whatever implements them.
 
 Each record is immutable, built positionally or by keyword from its
 fields in declaration order, compared and hashed by value within its own
@@ -23,7 +23,7 @@ from surftop.classification import (
 )
 from surftop.lattice import FormInvariants, GramMatrix, Parity, block_diag, diag
 from surftop.surfaces import SurfaceData, SurfaceInvariants
-from surftop.zeta import PointCount, ZetaData
+from surftop.zeta import PointCount
 
 # (class, field names, field values, repr)
 RECORDS = [
@@ -57,12 +57,6 @@ RECORDS = [
         "b_plus=1, b_minus=1, chi_holo=1)",
     ),
     (PointCount, ["variety", "q", "count"], ["P1xP1", 4, 25], "PointCount(variety='P1xP1', q=4, count=25)"),
-    (
-        ZetaData,
-        ["variety", "p", "counts"],
-        ["P1xP1", 2, (PointCount("P1xP1", 2, 9),)],
-        "ZetaData(variety='P1xP1', p=2, counts=(PointCount(variety='P1xP1', q=2, count=9),))",
-    ),
 ]
 # records whose attributes are a per-instance dict, which cli and class_to_dict read
 WITH_VARS = {GramMatrix, FormInvariants, IndefiniteOdd, IndefiniteEven, DefiniteDiagonal,
@@ -170,8 +164,6 @@ def test_gram_entries_become_tuples():
     assert hash(g) == hash(HYPERBOLIC)
 
 
-POINT = PointCount("v", 2, 1)
-
 MESSAGES = [
     (lambda: GramMatrix(((0, 1),)), "Gram matrix must be square"),
     (lambda: GramMatrix(((1.0,),)), "Gram matrix entries must be integers"),
@@ -190,9 +182,6 @@ MESSAGES = [
     (lambda: IndefiniteEven(1, 0), "indefinite even form needs at least one hyperbolic plane"),
     (lambda: DefiniteDiagonal(2, 1), "sign must be +1 or -1"),
     (lambda: DefiniteDiagonal(sign=1, rank=0), "definite form needs rank >= 1"),
-    (lambda: ZetaData("v", 2, (POINT, POINT)), "counts must be ordered by strictly increasing q"),
-    (lambda: ZetaData(variety="w", p=2, counts=(POINT,)),
-     "counts must all concern the same variety"),
 ]
 
 

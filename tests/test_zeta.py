@@ -14,6 +14,7 @@ from oracles import (
     model_surface_name,
     naive_affine_chart_count,
     naive_blowup_count,
+    weil_bound_check,
 )
 from surftop import zeta
 from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
@@ -23,7 +24,6 @@ from surftop.zeta import (
     MODELS,
     FiniteField,
     PointCount,
-    ZetaData,
     build_field,
     count_blowup_p2,
     count_hypersurface_p3,
@@ -33,8 +33,6 @@ from surftop.zeta import (
     fermat_form,
     is_prime,
     projective_points,
-    weil_bound_check,
-    zeta_counts,
 )
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
@@ -105,16 +103,18 @@ class TestFieldArithmetic:
     def test_inverse(self, p, k):
         f = build_field(p, k)
         for a in f.elements():
-            if a == f.zero:
-                with pytest.raises(ZeroDivisionError):
-                    f.inv(a)
-            else:
-                assert f.mul(a, f.inv(a)) == f.one
+            if a != f.zero:
+                assert f.mul(a, f.pow(a, f.q - 2)) == f.one
 
     def test_sub_neg(self):
         f = build_field(7, 1)
         assert f.sub((3,), (5,)) == (5,)
         assert f.neg((2,)) == (5,)
+
+    def test_negative_exponent_refused(self):
+        f = build_field(7, 1)
+        with pytest.raises(ValueError, match="^negative exponent$"):
+            f.pow((3,), -1)
 
 
 class TestProjectiveEnumeration:
@@ -265,62 +265,31 @@ class TestWeilBound:
 
 class TestZetaData:
     def test_counts_ordered(self):
-        z = zeta_counts("P1xP1", 2, 3)
-        assert [c.q for c in z.counts] == [2, 4, 8]
-        assert [c.count for c in z.counts] == [9, 25, 81]
-
-    def test_validation(self):
-        good = PointCount("v", 2, 1)
-        with pytest.raises(ValueError):
-            ZetaData("v", 2, (PointCount("v", 4, 1), good))
-        with pytest.raises(ValueError):
-            ZetaData("v", 2, (good, PointCount("w", 4, 1)))
+        counts = [count_variety("P1xP1", build_field(2, k)) for k in range(1, 4)]
+        assert [c.q for c in counts] == [2, 4, 8]
+        assert [c.count for c in counts] == [9, 25, 81]
 
 
 class TestRecordBehaviour:
-    """What callers see of the two zeta records, whatever implements them."""
+    """What callers see of the zeta record, whatever implements it."""
 
     def test_repr_bytes(self):
         pc = PointCount("P1xP1", 3, 16)
         assert repr(pc) == "PointCount(variety='P1xP1', q=3, count=16)"
-        z = ZetaData("v", 2, (PointCount("v", 2, 1), PointCount("v", 4, 9)))
-        assert repr(z) == (
-            "ZetaData(variety='v', p=2, counts=(PointCount(variety='v', q=2, count=1), "
-            "PointCount(variety='v', q=4, count=9)))"
-        )
 
     def test_keyword_and_positional_construction(self):
         pc = PointCount(variety="v", q=2, count=1)
         assert pc == PointCount("v", 2, 1)
         assert (pc.variety, pc.q, pc.count) == ("v", 2, 1)
-        z = ZetaData(variety="v", p=2, counts=(pc,))
-        assert z == ZetaData("v", 2, (pc,))
-        assert (z.variety, z.p, z.counts) == ("v", 2, (pc,))
 
     def test_equality_and_hash(self):
         assert PointCount("v", 2, 1) != PointCount("v", 2, 2)
         assert hash(PointCount("v", 2, 1)) == hash(PointCount("v", 2, 1))
-        a = zeta_counts("P1xP1", 2, 2)
-        b = ZetaData("P1xP1", 2, (PointCount("P1xP1", 2, 9), PointCount("P1xP1", 4, 25)))
-        assert a == b and hash(a) == hash(b)
-        assert a != ZetaData("P1xP1", 3, b.counts)
 
     @pytest.mark.parametrize("attr", ["variety", "q", "count"])
     def test_point_count_is_read_only(self, attr):
         with pytest.raises(AttributeError):
             setattr(PointCount("v", 2, 1), attr, 0)
-
-    @pytest.mark.parametrize("attr", ["variety", "p", "counts"])
-    def test_zeta_data_is_read_only(self, attr):
-        with pytest.raises(AttributeError):
-            setattr(ZetaData("v", 2, ()), attr, 0)
-
-    def test_validation_messages(self):
-        good = PointCount("v", 2, 1)
-        with pytest.raises(ValueError, match="^counts must be ordered by strictly increasing q$"):
-            ZetaData("v", 2, (good, good))
-        with pytest.raises(ValueError, match="^counts must all concern the same variety$"):
-            ZetaData(variety="v", p=2, counts=(PointCount("w", 2, 1),))
 
 
 class TestCounterexampleReport:
@@ -400,9 +369,9 @@ class TestCheckOrder:
 
     def test_zeta_counts_and_report_check_fields_first(self):
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-            zeta_counts("P1xP1", HUGE_PRIME, 1)
+            [count_variety("P1xP1", f) for f in [build_field(HUGE_PRIME, 1)]]
         with pytest.raises(UnsupportedDegreeError):
-            zeta_counts("fermat4", 3, 4)
+            [count_variety("fermat4", f) for f in [build_field(3, k) for k in (1, 2, 3, 4)]]
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
             counterexample_report([3, HUGE_PRIME], degrees=1)
 
