@@ -11,16 +11,17 @@ implementation. P1 x P1 is counted by enumerating its representative
 pairs. Every other count uses value distributions (Weil, "Numbers of
 solutions of equations in finite fields", Bull. AMS 55 (1949), sections
 1-2): the affine zeros of g_1(x_B1) + ... + g_n(x_Bn) = 0, with the g_i
-on disjoint blocks B_i of variables, are the weight at 0 of the
-convolution of the blocks' value histograms. A hypersurface in P3 is
-split into the connected components of "two variables share a
-monomial", and a block of m variables gets its histogram from the
-representatives of P^(m-1), so only a form whose monomials connect all
-four variables costs O(q^3); every Fermat model has four blocks of one.
-The incidence model of Bl1P2 is linear in x for each fixed y in P1, and
-x -> c x permutes GF(q) for every unit c, so a term c x has one value
-histogram for c = 0 and one for all q - 1 units: two histograms serve
-every y.
+of degree d on disjoint blocks B_i of variables, are the weight at 0 of
+the convolution of the blocks' value histograms. Those histograms, and
+so their convolutions, are class functions: constant on {0} and on each
+of the e = gcd(d, q - 1) cosets of the d-th powers in GF(q)^*. So each
+convolution step reads only the cyclotomic numbers of those cosets
+(Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998, ch. 2). A
+hypersurface in P3 is split into the connected components of "two
+variables share a monomial", and a block of m variables gets its class
+function from the representatives of P^(m-1), so only a form whose
+monomials connect all four variables costs O(q^3). The incidence model
+of Bl1P2 is linear in x for each y in P1: the case d = 1.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
 at the cap a shipped model takes under a second. A hypersurface block
@@ -35,7 +36,6 @@ Smoothness of user-supplied forms mod p is not verified.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 
@@ -120,10 +120,6 @@ class FiniteField:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
     def mul(self, a, b):
         p, k = self.p, self.k
         if k == 1:
@@ -185,44 +181,37 @@ def projective_points(field: FiniteField, n: int):
             yield prefix + tail
 
 
-def _orbit_hist(field: FiniteField, reps: Counter, dth: Counter) -> Counter:
-    """Histogram over A^m of a form g of degree d >= 1 in m variables.
+def _classes(field: FiniteField, subgroup: set):
+    """Class labels of GF(q) and the cyclotomic numbers of a unit subgroup.
 
-    reps counts the values of g on the representatives x of P^(m-1), and
-    dth counts lambda^d over the units lambda: the nonzero points of A^m
-    are the lambda x, where g is lambda^d g(x), and the origin is a zero.
+    Class 0 is {0}; classes 1..e are the cosets of subgroup, in the order
+    field.elements() meets them. For the first element w_k of class k,
+    table[k] counts the classes (i, j) of a and w_k - a over all a: the
+    cyclotomic numbers N_k(i, j), the same for every w_k in class k.
     """
-    hist = Counter({field.zero: 1 + (field.q - 1) * reps[field.zero]})
-    for v, r in reps.items():
-        if v != field.zero:
-            for w, n in dth.items():
-                hist[field.mul(v, w)] += r * n
-    return hist
+    label = {field.zero: 0}
+    firsts = [field.zero]
+    for x in field.elements():
+        if x not in label:
+            firsts.append(x)
+            for h in subgroup:
+                label[field.mul(x, h)] = len(firsts) - 1
+    table = [Counter((label[a], label[field.sub(w, a)]) for a in field.elements()) for w in firsts]
+    return label, table
 
 
-def _projective_zeros(field: FiniteField, hists) -> int:
+def _class_zeros(field: FiniteField, table, funcs) -> int:
     """Zeros in projective space of a homogeneous f_1(x_B1) + ... + f_n(x_Bn).
 
-    Each f_i is given as the histogram of its values over the affine space
-    of its own block B_i of variables. The histograms are convolved under
-    field.add, smallest support first; the last one is only paired against
-    the negated partial sums, since only the weight N_aff of the total at 0
-    is needed: the N_aff - 1 nonzero zeros lie on (N_aff - 1) / (q - 1)
-    lines through the origin.
+    funcs[i][k] is the number of points of the affine space of B_i where
+    f_i takes any one value of class k. table gives each convolution at
+    the first element of each class; the N_aff - 1 nonzero zeros of the
+    total lie on (N_aff - 1) / (q - 1) lines through the origin.
     """
-    *rest, last = sorted(hists, key=len)
-    add = field.add
-    acc = {field.zero: 1}
-    for h in rest:
-        nxt: dict = {}
-        for a, m in acc.items():
-            for b, n in h.items():
-                s = add(a, b)
-                nxt[s] = nxt.get(s, 0) + m * n
-        acc = nxt
-    neg = field.neg
-    n_aff = sum(m * last.get(neg(a), 0) for a, m in acc.items())
-    return (n_aff - 1) // (field.q - 1)
+    acc, *rest = funcs
+    for g in rest:
+        acc = [sum(c * acc[i] * g[j] for (i, j), c in t.items()) for t in table]
+    return (acc[0] - 1) // (field.q - 1)
 
 
 def count_p1xp1(field: FiniteField) -> PointCount:
@@ -237,20 +226,21 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
 
     The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1.
     For each y the equation 0 * x0 + y1 x1 - y0 x2 = 0 is separable in x,
-    so its points in P2 come from the value distributions of its terms.
-    The term c x has one histogram for c = 0 and one for every unit c,
-    since x -> c x permutes GF(q) (Lidl and Niederreiter, Finite Fields,
-    1983); FiniteField guarantees that every nonzero c is a unit. So the
-    q + 1 equations fall into three zero/nonzero patterns of (y1, -y0),
-    and the count costs O(q) field operations, not O(q^2).
+    so its points in P2 come from the class functions of its terms over
+    the classes {0} and the units (the case d = 1). The term c x takes
+    the value 0 at all q points for c = 0, and every value once for a
+    unit c, since x -> c x permutes GF(q) (Lidl and Niederreiter, Finite
+    Fields, 1983); FiniteField guarantees that every nonzero c is a unit.
+    So the q + 1 fibres fall into three zero/nonzero patterns of
+    (y1, -y0), the kernel counts each pattern once, times its number of
+    fibres, and the count costs O(q) field operations.
     """
-    units = Counter(x for x in field.elements() if x != field.zero)
-    hist = {False: _orbit_hist(field, Counter([field.zero]), units),
-            True: _orbit_hist(field, Counter([field.one]), units)}
+    _, table = _classes(field, {x for x in field.elements() if x != field.zero})
+    term = {False: [field.q, 0], True: [1, 1]}
     # -y0 is zero exactly when y0 is
-    zeros = functools.cache(
-        lambda y1_unit, y0_unit: _projective_zeros(field, [hist[False], hist[y1_unit], hist[y0_unit]]))
-    n = sum(zeros(y1 != field.zero, y0 != field.zero) for y0, y1 in projective_points(field, 1))
+    patterns = Counter((y1 != field.zero, y0 != field.zero) for y0, y1 in projective_points(field, 1))
+    n = sum(m * _class_zeros(field, table, [term[False], term[y1_unit], term[y0_unit]])
+            for (y1_unit, y0_unit), m in patterns.items())
     return PointCount(variety="Bl1P2", q=field.q, count=n)
 
 
@@ -270,7 +260,7 @@ def count_hypersurface_p3(
     representatives is refused (so a form connecting all four variables
     counts only up to q = 47), and so is a form whose evaluations plus
     power-table entries exceed MAX_EVAL_WORK. At q = 343 the cubic
-    x0^3+x1^3+x2^3+x3^3+x0x1x2 needs 4.7 * 10^5 of these and takes 4.4 s
+    x0^3+x1^3+x2^3+x3^3+x0x1x2 needs 4.7 * 10^5 of these and takes 3.5 s
     on a 2-vCPU Xeon VM.
     """
     for e, c in coeffs.items():
@@ -306,8 +296,9 @@ def count_hypersurface_p3(
             f"evaluation work {int_text(work)} over GF({q}) exceeds the cap {MAX_EVAL_WORK}")
     terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
     powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
-    dth = Counter(v for x, v in powers[degree].items() if x != field.zero)
-    hists = []
+    subgroup = {v for x, v in powers[degree].items() if x != field.zero}
+    label, table = _classes(field, subgroup)
+    funcs = []
     for block in blocks:
         block_terms = [([e[i] for i in block], c) for e, c in terms if any(e[i] for i in block)]
         reps = Counter()
@@ -320,8 +311,11 @@ def count_hypersurface_p3(
                         mono = field.mul(mono, powers[d][x])
                 total = field.add(total, mono)
             reps[total] += 1
-        hists.append(_orbit_hist(field, reps, dth))
-    return PointCount(variety=variety, q=field.q, count=_projective_zeros(field, hists))
+        func = [1] + [0] * (len(table) - 1)  # the origin
+        for v, r in reps.items():  # the q - 1 points lambda x spread evenly over v's class
+            func[label[v]] += r * (q - 1) // (len(subgroup) if label[v] else 1)
+        funcs.append(func)
+    return PointCount(variety=variety, q=field.q, count=_class_zeros(field, table, funcs))
 
 
 def fermat_form(d: int) -> dict[tuple[int, int, int, int], int]:

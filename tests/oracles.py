@@ -6,12 +6,17 @@ Bareiss, signatures by characteristic-polynomial sign counting instead
 of congruence diagonalization, parity by brute evaluation of Q(x,x)
 mod 2, and point counts by chart-by-chart nested loops with no caching
 (hypersurfaces in P3) or over every point pair (the Bl1P2 incidence
-model), where production counts diagonal and separable equations by
-value distributions. The point counts do their field arithmetic in
+model), where production counts separable equations by value
+distributions. The point counts do their field arithmetic in
 OracleField, built from p, k and the modulus alone, so a fault in the
-production field cannot show up on both sides of a comparison. Seeded
-unimodular mixes are replayed by the whole-matrix loop that the O(n)
-addition step of strategies.random_unimodular_transform replaced.
+production field cannot show up on both sides of a comparison. Value
+distributions themselves have a slow path: orbit_hist and
+projective_zeros build and convolve histograms over every field
+element, where production convolves class functions over cyclotomic
+classes, O(q^2) field additions per step against O(e^3) integer
+products. Seeded unimodular mixes are replayed by the whole-matrix loop
+that the O(n) addition step of strategies.random_unimodular_transform
+replaced.
 
 Two checks stand beside them: brute_force_isometry searches small
 integer matrices for a witness that two forms are isometric, and
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 from surftop.lattice import GramMatrix, determinant
@@ -240,6 +246,45 @@ def naive_blowup_count(field) -> int:
             if f.mul(x[1], y[1]) == f.mul(x[2], y[0]):
                 n += 1
     return n
+
+
+def orbit_hist(field, reps: Counter, dth: Counter) -> Counter:
+    """Histogram over A^m of a form g of degree d >= 1 in m variables.
+
+    reps counts the values of g on the representatives x of P^(m-1), and
+    dth counts lambda^d over the units lambda: the nonzero points of A^m
+    are the lambda x, where g is lambda^d g(x), and the origin is a zero.
+    """
+    hist = Counter({field.zero: 1 + (field.q - 1) * reps[field.zero]})
+    for v, r in reps.items():
+        if v != field.zero:
+            for w, n in dth.items():
+                hist[field.mul(v, w)] += r * n
+    return hist
+
+
+def projective_zeros(field, hists) -> int:
+    """Zeros in projective space of a homogeneous f_1(x_B1) + ... + f_n(x_Bn).
+
+    Each f_i is given as the histogram of its values over the affine space
+    of its own block B_i of variables. The histograms are convolved under
+    field.add, smallest support first; the last one is only paired against
+    the negated partial sums, since only the weight N_aff of the total at 0
+    is needed: the N_aff - 1 nonzero zeros lie on (N_aff - 1) / (q - 1)
+    lines through the origin.
+    """
+    *rest, last = sorted(hists, key=len)
+    add = field.add
+    acc = {field.zero: 1}
+    for h in rest:
+        nxt: dict = {}
+        for a, m in acc.items():
+            for b, n in h.items():
+                s = add(a, b)
+                nxt[s] = nxt.get(s, 0) + m * n
+        acc = nxt
+    n_aff = sum(m * last.get(field.sub(field.zero, a), 0) for a, m in acc.items())
+    return (n_aff - 1) // (field.q - 1)
 
 
 def model_surface_name(variety: str) -> str:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -14,6 +15,8 @@ from oracles import (
     model_surface_name,
     naive_affine_chart_count,
     naive_blowup_count,
+    orbit_hist,
+    projective_zeros,
     weil_bound_check,
 )
 from surftop import zeta
@@ -109,7 +112,7 @@ class TestFieldArithmetic:
     def test_sub_neg(self):
         f = build_field(7, 1)
         assert f.sub((3,), (5,)) == (5,)
-        assert f.neg((2,)) == (5,)
+        assert f.sub(f.zero, (2,)) == (5,)
 
     def test_negative_exponent_refused(self):
         f = build_field(7, 1)
@@ -533,29 +536,93 @@ class TestBlowupAgainstOracle:
 
 
 class TestBlowupUnitClasses:
-    """Every fibre 0 x0 + y1 x1 - y0 x2 = 0 must reach _projective_zeros with
-    the value histograms of its own terms. The total cannot show this: each
-    fibre is a line of q + 1 points, so histograms swapped between the
-    patterns, or a unit histogram for the zero term, still sum to (q + 1)^2."""
+    """Every fibre 0 x0 + y1 x1 - y0 x2 = 0 must reach _class_zeros with
+    the class functions of its own terms, once per zero/nonzero pattern and
+    weighted by how many fibres share it. The total cannot show this: each
+    fibre is a line of q + 1 points, so class functions swapped between the
+    patterns, or a unit's class function for the zero term, still sum to
+    (q + 1)^2."""
 
     @pytest.mark.parametrize("p,k", FIELDS_TO_27)
     def test_each_fibre_gets_its_terms_histograms(self, p, k, monkeypatch):
         f = build_field(p, k)
-        built, calls = [], []
-        orbit_hist, projective_zeros = zeta._orbit_hist, zeta._projective_zeros
-        monkeypatch.setattr(zeta, "_orbit_hist", lambda *a: built.append(a) or orbit_hist(*a))
+        calls = []
+        # call i answers (q + 1)^i, so the count spells each call's weight in base q + 1
         monkeypatch.setattr(
-            zeta, "_projective_zeros",
-            lambda field, hists: calls.append([dict(h) for h in hists]) or projective_zeros(field, hists))
-        count_blowup_p2(f)
+            zeta, "_class_zeros",
+            lambda field, table, funcs: calls.append(funcs) or (f.q + 1) ** (len(calls) - 1))
+        n = count_blowup_p2(f).count
 
-        def term_hist(c):
-            return dict(Counter(f.mul(c, x) for x in f.elements()))
+        def term_class_function(c):
+            hist = Counter(f.mul(c, x) for x in f.elements())
+            units = {hist[x] for x in f.elements() if x != f.zero}
+            assert len(units) == 1
+            return (hist[f.zero], units.pop())
 
-        assert len(built) == 2  # c = 0 and c = 1, never one per coefficient
-        for y0, y1 in projective_points(f, 1):
-            assert [term_hist(f.zero), term_hist(y1), term_hist(f.neg(y0))] in calls, (y0, y1)
-        assert len(calls) == 3  # one per zero/nonzero pattern of (y1, -y0)
+        expected = Counter(
+            tuple(term_class_function(c) for c in (f.zero, y1, f.sub(f.zero, y0)))
+            for y0, y1 in projective_points(f, 1))
+        assert sorted(expected.values()) == [1, 1, f.q - 1]
+        assert len(calls) == 3
+        got = {tuple(map(tuple, funcs)): n // (f.q + 1) ** i % (f.q + 1) for i, funcs in enumerate(calls)}
+        assert got == expected
+
+
+# all 21 fields with q <= 49 and all 38 with q <= 125
+FIELDS_TO_49 = [(p, k) for p in range(2, 50) if is_prime(p) for k in (1, 2, 3) if p**k <= 49]
+FIELDS_TO_125 = [(p, k) for p in range(2, 126) if is_prime(p) for k in (1, 2, 3) if p**k <= 125]
+
+
+def _full_histogram_count(form: dict, f: FiniteField) -> int:
+    """Zeros in P3 of form, through the full value histograms of its blocks."""
+    terms = [(e, f.from_int(c)) for e, c in form.items() if c % f.p]
+    degree = sum(terms[0][0])
+    blocks, left = [], set(range(4))
+    while left:  # grow each block until no monomial reaches outside it
+        block = {left.pop()}
+        while reach := {i for e, _ in terms if any(e[j] for j in block) for i in range(4) if e[i]} - block:
+            block |= reach
+        left -= block
+        blocks.append(sorted(block))
+    power = functools.cache(f.pow)
+    dth = Counter(power(x, degree) for x in f.elements() if x != f.zero)
+    hists = []
+    for block in blocks:
+        reps = Counter()
+        for point in projective_points(f, len(block) - 1):
+            value = f.zero
+            for e, c in terms:
+                if any(e[i] for i in block):
+                    for x, i in zip(point, block):
+                        if e[i]:
+                            c = f.mul(c, power(x, e[i]))
+                    value = f.add(value, c)
+            reps[value] += 1
+        hists.append(orbit_hist(f, reps, dth))
+    return projective_zeros(f, hists)
+
+
+class TestClassKernelAgainstFullHistograms:
+    """The class-function kernel against the full histograms over every
+    field element that it replaced, kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("p,k", FIELDS_TO_125)
+    def test_four_one_variable_blocks(self, p, k):
+        f = build_field(p, k)
+        rng = random.Random(9000 + 100 * p + k)
+        nonzero = [a for a in range(-2 * p, 2 * p + 1) if a % p]
+        for d in range(1, 7):
+            form = {tuple(d if t == i else 0 for t in range(4)): rng.choice(nonzero) for i in range(4)}
+            assert count_hypersurface_p3(form, f).count == _full_histogram_count(form, f), form
+
+    @pytest.mark.parametrize("p,k", FIELDS_TO_49)
+    def test_wider_blocks(self, p, k):
+        f = build_field(p, k)
+        rng = random.Random(9500 + 100 * p + k)
+        quartic = _block_form(rng, p, 4, [[0, 1], [2, 3]])
+        sextic = _block_form(rng, p, 6, [[0, 1, 2], [3]])
+        for form in (quartic, sextic, MIXED_CUBIC):
+            assert count_hypersurface_p3(form, f).count == _full_histogram_count(form, f), form
 
 
 class TestAtTheCap:
@@ -572,6 +639,15 @@ class TestAtTheCap:
         for f in fields:
             assert count_blowup_p2(f).count == (f.q + 1) ** 2, f
         assert time.perf_counter() - start < 2.0
+        # every other shipped model at the same fields
+        b2 = {d: compute_invariants(catalog_lookup(model_surface_name(f"fermat{d}"))).b2 for d in range(2, 7)}
+        for f in fields:
+            assert count_p1xp1(f).count == (f.q + 1) ** 2, f
+            assert count_variety("fermat1", f).count == f.q**2 + f.q + 1, f
+            for d in range(2, 7):
+                if model_has_good_reduction(f"fermat{d}", f.p):
+                    assert weil_bound_check(count_variety(f"fermat{d}", f), b2[d]), (d, f)
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
     def test_fermat_weil_bound_at_good_primes(self, p, k):
