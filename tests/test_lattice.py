@@ -157,7 +157,8 @@ class TestEliminationWorkCap:
 
     def test_rank_200_mix_accepted(self):
         m = random_unimodular_transform(diag(*[1] * 100, *[-1] * 100), seed=200, steps=20 * 200)
-        assert determinant(m) in (1, -1)
+        inv = invariants(m)
+        assert (inv.b_plus, inv.b_minus, inv.determinant) == (100, 100, 1)
 
 
 class TestParity:
@@ -214,8 +215,8 @@ class TestInvariants:
 
     def test_calls_determinant_once_with_the_form(self, monkeypatch):
         # perfbench's lattice.determinant_s.r26/r40/r64 metrics sample traced
-        # determinant() calls made by invariants(); a traced run without them
-        # fails. This test goes when invariants() makes one elimination pass.
+        # determinant() calls made by invariants(), and a traced run without
+        # them fails; the call reuses the pass invariants() has just run
         calls = []
         original = lattice.determinant
         monkeypatch.setattr(lattice, "determinant", lambda m: calls.append(m) or original(m))
@@ -246,6 +247,55 @@ class TestInvariants:
             assert (inv.determinant > 0) == (inv.b_minus % 2 == 0)
         else:
             assert inv.b_plus + inv.b_minus < inv.rank
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts elimination passes: the work estimate takes one isqrt per pass."""
+    calls = []
+    original = lattice.isqrt
+    monkeypatch.setattr(lattice, "isqrt", lambda h: calls.append(h) or original(h))
+    return calls
+
+
+class TestOnePass:
+    """invariants() and the determinant() call it makes share one pass,
+    reused only for the very same form object."""
+
+    def test_invariants_runs_one_pass(self, passes):
+        assert invariants(block_diag(E8, H)).determinant == -1
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("m", _deep_forms(20), ids=lambda m: f"rank{m.n}")
+    def test_determinant_after_invariants_matches_cofactor(self, m, passes):
+        m = GramMatrix(m.entries)  # a new object, whatever ran on the shared one
+        invariants(m)
+        assert determinant(m) == cofactor_determinant(m.entries)
+        assert len(passes) == 1
+
+    def test_equal_but_distinct_form_runs_its_own_pass(self, passes):
+        m = block_diag(E8, H)
+        inv = invariants(m)
+        twin = GramMatrix(m.entries)
+        assert twin == m and twin is not m
+        assert invariants(twin) == inv
+        assert len(passes) == 2
+
+    def test_other_forms_are_not_answered_from_the_last_pass(self, passes):
+        h = GramMatrix(H.entries)
+        invariants(h)
+        assert determinant(diag(2)) == 2
+        assert invariants(h).determinant == -1
+        assert len(passes) == 3
+
+    @pytest.mark.parametrize("op", [determinant, invariants])
+    def test_refused_form_raises_on_every_call_and_is_not_kept(self, op, passes):
+        m = GramMatrix(huge_symmetric_rows(40, seed=40))
+        for call in range(1, 4):
+            with pytest.raises(ValueError, match=TestEliminationWorkCap.CAP_MESSAGE):
+                op(m)
+            assert len(passes) == call
+        assert lattice._last[0] is not m
 
 
 class TestFormInvariantsValidation:

@@ -21,7 +21,7 @@ from surftop.classification import (
     IndefiniteOdd,
     forms_isomorphic,
 )
-from surftop.lattice import FormInvariants, GramMatrix, Parity, block_diag, diag
+from surftop.lattice import FormInvariants, GramMatrix, Parity, block_diag, diag, invariants
 from surftop.surfaces import SurfaceData, SurfaceInvariants
 from surftop.zeta import PointCount
 
@@ -154,6 +154,18 @@ def test_odd_rank_4_is_not_even_rank_20():
     even = block_diag(E8, E8, HYPERBOLIC, HYPERBOLIC)
     for mode in ClassificationMode:
         assert not forms_isomorphic(odd, even, mode)
+
+
+def test_an_eliminated_gram_matrix_is_the_same_record():
+    # the elimination pass keeps its last form outside the record, so vars(),
+    # equality, hash, repr, copies and pickles do not change
+    m, twin = block_diag(E8, HYPERBOLIC), block_diag(E8, HYPERBOLIC)
+    before = (dict(vars(m)), hash(m), repr(m), pickle.dumps(m))
+    invariants(m)
+    assert (vars(m), hash(m), repr(m), pickle.dumps(m)) == before
+    assert m == twin and twin == m
+    for b in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert b == m and vars(b) == vars(twin) and repr(b) == repr(twin) and hash(b) == hash(twin)
 
 
 def test_gram_entries_become_tuples():
