@@ -97,9 +97,15 @@ def _primes_list(text: str) -> list[int]:
     except ValueError:
         primes = None
     if not primes:
-        from argparse import ArgumentTypeError
-        raise ArgumentTypeError("prime list is empty" if primes == [] else f"bad prime list {text!r}")
-    return primes
+        message = "prime list is empty" if primes == [] else f"bad prime list {text!r}"
+    elif len(set(primes)) < len(primes):
+        # a repeat would count its fields again; name it, not the whole list
+        seen = set()
+        message = f"prime {next(p for p in primes if p in seen or seen.add(p))} is repeated"
+    else:
+        return primes
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(message)
 
 
 # the grammar: command -> (help, {option: argparse keyword arguments})

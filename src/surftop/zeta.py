@@ -8,30 +8,25 @@ p^3.
 Every count is an exact count of solutions; closed forms such as
 (q+1)^2 for P1 x P1 are asserted in tests, never used as the
 implementation. P1 x P1 is counted by enumerating its representative
-pairs. Every other count uses value distributions (Weil, "Numbers of
-solutions of equations in finite fields", Bull. AMS 55 (1949), sections
-1-2): the affine zeros of g_1(x_B1) + ... + g_n(x_Bn) = 0, with the g_i
-of degree d on disjoint blocks B_i of variables, are the weight at 0 of
-the convolution of the blocks' value histograms. Those histograms, and
-so their convolutions, are class functions: constant on {0} and on each
-of the e = gcd(d, q - 1) cosets of the d-th powers in GF(q)^*. So each
-convolution step reads only the cyclotomic numbers of those cosets
-(Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998, ch. 2). A
-hypersurface in P3 is split into the connected components of "two
-variables share a monomial", and a block of m variables gets its class
-function from the representatives of P^(m-1), so only a form whose
-monomials connect all four variables costs O(q^3). The incidence model
-of Bl1P2 is linear in x for each y in P1: the case d = 1.
+pairs. Every other count is of a diagonal equation c_1 x_1^d + ... +
+c_n x_n^d = 0 (Weil, "Numbers of solutions of equations in finite
+fields", Bull. AMS 55 (1949), sections 1-2): its affine zeros are the
+weight at 0 of the convolution of its terms' value histograms. The term
+c x^d takes the value 0 once and each value of the coset c H of the
+d-th powers H in GF(q)^* e = (q - 1) / |H| = gcd(d, q - 1) times, so
+these histograms, and their convolutions, are class functions: constant
+on {0} and on each of the e cosets of H. So each convolution step reads
+only the cyclotomic numbers of those cosets (Berndt, Evans and Williams,
+Gauss and Jacobi Sums, 1998, ch. 2), and nothing is enumerated. A
+hypersurface in P3 must be diagonal, a sum of terms c_i x_i^d; the
+incidence model of Bl1P2 is linear in x for each y in P1: the case
+d = 1.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
-at the cap a shipped model takes under a second. A hypersurface block
-may have no more representatives than P2 over GF(MAX_Q), so a form
-connecting all four variables, which would visit about 4 * 10^7
-representatives of P3 at the cap, is refused above q = 47; a form with
-more monomial evaluations than MAX_EVAL_WORK is refused too.
-FiniteField refuses q > MAX_Q before it tests p for primality and picks
-its own irreducible modulus, so every nonzero element is a unit.
-Smoothness of user-supplied forms mod p is not verified.
+at the cap a shipped model takes under a second. FiniteField refuses
+q > MAX_Q before it tests p for primality and picks its own irreducible
+modulus, so every nonzero element is a unit. Smoothness of
+user-supplied forms mod p is not verified.
 """
 
 from __future__ import annotations
@@ -43,12 +38,6 @@ from . import Record
 from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text
 
 MAX_Q = 343
-# representatives of P2 over GF(MAX_Q): a block of up to three variables
-# always fits, a block of four only up to q = 47
-MAX_BLOCK_REPS = MAX_Q**2 + MAX_Q + 1
-# monomial evaluations over the block representatives, plus power-table
-# entries: five monomials on a block of three variables fit at MAX_Q
-MAX_EVAL_WORK = 600_000
 
 
 def _is_int(v) -> bool:
@@ -201,12 +190,12 @@ def _classes(field: FiniteField, subgroup: set):
 
 
 def _class_zeros(field: FiniteField, table, funcs) -> int:
-    """Zeros in projective space of a homogeneous f_1(x_B1) + ... + f_n(x_Bn).
+    """Zeros in projective space of a homogeneous f_1(x_1) + ... + f_n(x_n).
 
-    funcs[i][k] is the number of points of the affine space of B_i where
-    f_i takes any one value of class k. table gives each convolution at
-    the first element of each class; the N_aff - 1 nonzero zeros of the
-    total lie on (N_aff - 1) / (q - 1) lines through the origin.
+    funcs[i][k] is the number of x_i in GF(q) where f_i takes any one
+    value of class k. table gives each convolution at the first element
+    of each class; the N_aff - 1 nonzero zeros of the total lie on
+    (N_aff - 1) / (q - 1) lines through the origin.
     """
     acc, *rest = funcs
     for g in rest:
@@ -249,19 +238,15 @@ def count_hypersurface_p3(
     field: FiniteField,
     variety: str = "hypersurface",
 ) -> PointCount:
-    """Zeros in P3 of a homogeneous integer form.
+    """Zeros in P3 of a diagonal integer form c0 x0^d + c1 x1^d + c2 x2^d + c3 x3^d.
 
-    coeffs maps exponent quadruples to integer coefficients; they are
-    reduced mod p, and a form vanishing identically mod p is refused.
-    The form is a sum of block forms on the connected components of "two
-    variables share a monomial"; each monomial of a block of m variables
-    is evaluated at the q^(m-1)+...+1 representatives of P^(m-1). Before
-    any table is built, a block with more than MAX_BLOCK_REPS
-    representatives is refused (so a form connecting all four variables
-    counts only up to q = 47), and so is a form whose evaluations plus
-    power-table entries exceed MAX_EVAL_WORK. At q = 343 the cubic
-    x0^3+x1^3+x2^3+x3^3+x0x1x2 needs 4.7 * 10^5 of these and takes 3.5 s
-    on a 2-vCPU Xeon VM.
+    coeffs maps exponent quadruples to integer coefficients. A monomial
+    in two or more variables is refused whatever p is; then the
+    coefficients are reduced mod p, and a form vanishing identically mod
+    p is refused. The term c x^d has the class function that is 1 at
+    {0} and e = gcd(d, q - 1) at the class of c, and 0 elsewhere; a
+    variable with no term takes 0 at all q points. The kernel convolves
+    these, so nothing is enumerated.
     """
     for e, c in coeffs.items():
         if not (isinstance(e, tuple) and len(e) == 4 and all(_is_int(x) and x >= 0 for x in e)):
@@ -270,50 +255,21 @@ def count_hypersurface_p3(
             raise ValueError("coefficients must be integers")
     if len({sum(e) for e in coeffs}) > 1:
         raise ValueError("form is not homogeneous")
+    if any(sum(1 for x in e if x) > 1 for e in coeffs):
+        raise ValueError("form is not diagonal")
     reduced = {e: c % field.p for e, c in coeffs.items() if c % field.p}
     if not reduced:
         raise ZeroFormError("form vanishes identically mod p")
     degree = sum(next(iter(reduced)))
     if degree == 0:  # a nonzero constant: the origin is not a zero
         return PointCount(variety=variety, q=field.q, count=0)
-    blocks = [[i] for i in range(4)]
-    for e in reduced:
-        hit = [b for b in blocks if any(e[i] for i in b)]
-        blocks = [b for b in blocks if b not in hit] + [sum(hit, [])]
-    q = field.q
-    exponents = {d for e in reduced for d in e if d} | {degree}
-    work = len(exponents) * q  # the power tables
-    for block in blocks:
-        reps = (q ** len(block) - 1) // (q - 1)
-        if reps > MAX_BLOCK_REPS:
-            raise ValueError(
-                f"a block of {len(block)} variables has {int_text(reps)} representatives "
-                f"over GF({q}), more than the block cap {MAX_BLOCK_REPS}"
-            )
-        work += reps * sum(1 for e in reduced if any(e[i] for i in block))
-    if work > MAX_EVAL_WORK:
-        raise ValueError(
-            f"evaluation work {int_text(work)} over GF({q}) exceeds the cap {MAX_EVAL_WORK}")
-    terms = [(e, field.from_int(c)) for e, c in sorted(reduced.items())]
-    powers = {d: {x: field.pow(x, d) for x in field.elements()} for d in exponents}
-    subgroup = {v for x, v in powers[degree].items() if x != field.zero}
-    label, table = _classes(field, subgroup)
-    funcs = []
-    for block in blocks:
-        block_terms = [([e[i] for i in block], c) for e, c in terms if any(e[i] for i in block)]
-        reps = Counter()
-        for point in projective_points(field, len(block) - 1):
-            total = field.zero
-            for exps, c in block_terms:
-                mono = c
-                for x, d in zip(point, exps):
-                    if d:
-                        mono = field.mul(mono, powers[d][x])
-                total = field.add(total, mono)
-            reps[total] += 1
-        func = [1] + [0] * (len(table) - 1)  # the origin
-        for v, r in reps.items():  # the q - 1 points lambda x spread evenly over v's class
-            func[label[v]] += r * (q - 1) // (len(subgroup) if label[v] else 1)
+    label, table = _classes(field, {field.pow(x, degree) for x in field.elements() if x != field.zero})
+    cosets = len(table) - 1
+    # by homogeneity each variable has at most one term
+    funcs = [[field.q] + [0] * cosets for _ in range(4 - len(reduced))]
+    for c in reduced.values():
+        func = [1] + [0] * cosets
+        func[label[field.from_int(c)]] = cosets
         funcs.append(func)
     return PointCount(variety=variety, q=field.q, count=_class_zeros(field, table, funcs))
 
@@ -361,6 +317,9 @@ def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
     """
     if not primes:
         raise ValueError("need at least one prime")
+    if len(set(primes)) < len(primes):
+        seen = set()
+        raise ValueError(f"prime {next(p for p in primes if p in seen or seen.add(p))} is repeated")
     if not 1 <= degrees <= 3:
         raise ValueError("degrees must be between 1 and 3")
     from .classification import class_to_dict

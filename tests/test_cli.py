@@ -194,6 +194,24 @@ class TestCounterexampleCommand:
         assert main(["counterexample", "--primes", "6"]) == 1
         assert capsys.readouterr().err.startswith("NotPrime")
 
+    def test_repeated_prime_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--primes", "2,7,3,07"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "surftop counterexample: error: argument --primes: prime 7 is repeated\n")
+
+    def test_repeated_prime_refused_at_once(self, capsys):
+        # a 120 KB argument that would count GF(7) and GF(49) 60,000 times each
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--primes", ",".join(["7"] * 60_000)])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "prime 7 is repeated" in err
+        assert len(err) < 300
+
 
 class TestCountCommand:
     def test_fermat4_at_5(self, capsys):

@@ -39,7 +39,7 @@ SPECIAL = ["-h", "--help", "--", "--p=7", "--variety=fermat4", "--degrees=2", "-
 INTS = ["-12", "-٣", "+7", "7\n", "1_0", " 7 ", "-0", "0", "1", "2", "3", "4", "5", "7", "١٢"]
 VALUES = INTS + [
     "", "2,x", "--json", "-", "-x", "-1.5", "-7\n", "fermat4", "P1xP1", "Bl1P2", "K3", "nope",
-    "2,3", "2,,3", ",", "8,4,spin", "h.json", "-h",
+    "2,3", "2,,3", ",", "7,7", "8,4,spin", "h.json", "-h",
 ]
 COMMANDS = list(_GRAMMAR) + ["frobnicate", "-h", ""]
 

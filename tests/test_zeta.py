@@ -191,15 +191,6 @@ class TestCountHypersurface:
                 assert f.q == q
                 assert count_hypersurface_p3(fermat_form(d), f).count == expected
 
-    def test_matches_naive_oracle_with_cross_terms(self):
-        form = {(3, 0, 0, 0): 1, (0, 2, 1, 0): 1, (1, 1, 0, 1): -2, (0, 0, 0, 3): 5}
-        for p, k in [(2, 1), (3, 1), (2, 2), (7, 1)]:
-            f = build_field(p, k)
-            assert (
-                count_hypersurface_p3(form, f).count
-                == naive_affine_chart_count(form, f)
-            )
-
     def test_zero_form_rejected(self):
         f = build_field(5, 1)
         with pytest.raises(ZeroFormError):
@@ -332,6 +323,15 @@ class TestCounterexampleReport:
             with pytest.raises(ValueError):
                 counterexample_report([3], degrees=degrees)
 
+    def test_repeated_prime_rejected_before_any_field(self, monkeypatch):
+        def no_field(p, k):
+            raise AssertionError(f"GF({p}^{k}) built")
+
+        monkeypatch.setattr(zeta, "build_field", no_field)
+        for primes in ([3, 5, 3], [4, 4]):
+            with pytest.raises(ValueError, match=f"^prime {primes[0]} is repeated$"):
+                counterexample_report(primes)
+
     def test_non_prime_propagates(self):
         with pytest.raises(NotPrimeError):
             counterexample_report([4])
@@ -423,89 +423,6 @@ class TestFieldArgumentTypes:
                 build()
 
 
-CHAIN_QUADRIC = {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 2): 1}
-
-
-class TestBlockCap:
-    """No block may have more representatives than P2 over GF(MAX_Q) = 117993."""
-
-    class Reached(Exception):
-        pass
-
-    @pytest.fixture
-    def no_counting(self, monkeypatch):
-        def reached(*args):
-            raise self.Reached
-
-        monkeypatch.setattr("surftop.zeta.projective_points", reached)
-
-    def test_chain_quadric_refused_at_the_cap_at_once(self):
-        field = build_field(7, 3)
-        start = time.perf_counter()
-        with pytest.raises(ValueError) as info:
-            count_hypersurface_p3(CHAIN_QUADRIC, field)
-        assert time.perf_counter() - start < 0.5
-        assert str(info.value) == (
-            "a block of 4 variables has 40471600 representatives over GF(343), "
-            "more than the block cap 117993"
-        )
-
-    @pytest.mark.parametrize("p,k,refused", [(47, 1, False), (7, 2, True), (53, 1, True)])
-    def test_four_variable_block_boundary(self, no_counting, p, k, refused):
-        expected = ValueError if refused else self.Reached
-        with pytest.raises(expected):
-            count_hypersurface_p3(CHAIN_QUADRIC, build_field(p, k))
-
-    def test_three_variable_block_allowed_at_the_cap(self, no_counting):
-        cubic = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1, (1, 1, 1, 0): 1}
-        with pytest.raises(self.Reached):
-            count_hypersurface_p3(cubic, build_field(7, 3))
-
-
-# every monomial of degree 44 in x0, x1, x2, plus x3^44: one block of three
-# variables with 1035 monomials, which counted in 0.5 s at q = 13, 7.2 s at
-# q = 25 and was admitted by the block cap up to q = 343
-WIDE_FORM = {(a, b, 44 - a - b, 0): 1 for a in range(45) for b in range(45 - a)} | {(0, 0, 0, 44): 1}
-
-
-class TestEvalWorkCap:
-    """Monomial evaluations over the block representatives plus power-table
-    entries may not exceed MAX_EVAL_WORK = 600000; checked before any table."""
-
-    class Reached(Exception):
-        pass
-
-    @pytest.fixture
-    def no_tables(self, monkeypatch):
-        def reached(*args):
-            raise self.Reached
-
-        monkeypatch.setattr(FiniteField, "pow", reached)
-
-    def test_wide_form_refused_at_the_cap_at_once(self, no_tables):
-        assert len(WIDE_FORM) == 1036
-        start = time.perf_counter()
-        with pytest.raises(ValueError) as info:
-            count_hypersurface_p3(WIDE_FORM, build_field(7, 3))
-        assert time.perf_counter() - start < 1.0
-        # 117993 * 1035 + 1 * 1 + 44 exponents * 343
-        assert str(info.value) == "evaluation work 122137848 over GF(343) exceeds the cap 600000"
-
-    @pytest.mark.parametrize("p,k,refused", [(13, 1, False), (19, 1, False), (23, 1, False), (5, 2, True)])
-    def test_wide_form_boundary(self, no_tables, p, k, refused):
-        # at q = 23: 553 * 1035 + 1 + 44 * 23 = 573368; at q = 25: 651 * 1035 + 1 + 44 * 25 = 674886
-        with pytest.raises(ValueError if refused else self.Reached):
-            count_hypersurface_p3(WIDE_FORM, build_field(p, k))
-
-    @pytest.mark.parametrize("extra,refused", [(1, False), (2, True)])
-    def test_mixed_cubic_boundary_at_the_cap(self, no_tables, extra, refused):
-        # the mixed cubic (4 * 117993 + 1 + 2 * 343 = 472659) fits, and so
-        # does one more monomial (590995); two more (708988) do not
-        more = dict([((2, 1, 0, 0), 1), ((0, 2, 1, 0), 1)][:extra])
-        with pytest.raises(ValueError if refused else self.Reached):
-            count_hypersurface_p3(MIXED_CUBIC | more, build_field(7, 3))
-
-
 class TestDiagonalAgainstOracle:
     @pytest.mark.parametrize("p,k", SMALL_FIELDS)
     def test_random_diagonal_forms(self, p, k):
@@ -568,8 +485,7 @@ class TestBlowupUnitClasses:
         assert got == expected
 
 
-# all 21 fields with q <= 49 and all 38 with q <= 125
-FIELDS_TO_49 = [(p, k) for p in range(2, 50) if is_prime(p) for k in (1, 2, 3) if p**k <= 49]
+# all 38 fields with q <= 125
 FIELDS_TO_125 = [(p, k) for p in range(2, 126) if is_prime(p) for k in (1, 2, 3) if p**k <= 125]
 
 
@@ -614,16 +530,6 @@ class TestClassKernelAgainstFullHistograms:
         for d in range(1, 7):
             form = {tuple(d if t == i else 0 for t in range(4)): rng.choice(nonzero) for i in range(4)}
             assert count_hypersurface_p3(form, f).count == _full_histogram_count(form, f), form
-
-    @pytest.mark.parametrize("p,k", FIELDS_TO_49)
-    def test_wider_blocks(self, p, k):
-        f = build_field(p, k)
-        rng = random.Random(9500 + 100 * p + k)
-        quartic = _block_form(rng, p, 4, [[0, 1], [2, 3]])
-        sextic = _block_form(rng, p, 6, [[0, 1, 2], [3]])
-        for form in (quartic, sextic, MIXED_CUBIC):
-            assert count_hypersurface_p3(form, f).count == _full_histogram_count(form, f), form
-
 
 class TestAtTheCap:
     @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
@@ -681,92 +587,45 @@ class TestOracleField:
                 assert f.mul(a, b) == o.mul(a, b), (a, b)
 
 
-MIXED_CUBIC = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1, (1, 1, 1, 0): 1}
-# blocks of variables before relabelling: 2+2, 3+1, one of four, and two
-# shapes that leave a variable in no monomial
-BLOCK_SHAPES = [[[0, 1], [2, 3]], [[0, 1, 2], [3]], [[0, 1, 2, 3]], [[0, 2], [3]], [[1, 2, 3]]]
+class TestDiagonalOnly:
+    """A monomial in two or more variables is refused before any field work,
+    whatever p is; a diagonal form is counted without enumerating points."""
 
+    class Reached(Exception):
+        pass
 
-def _block_form(rng: random.Random, p: int, d: int, shape) -> dict:
-    """A degree-d form whose blocks are `shape`, with the variables relabelled.
+    @pytest.fixture
+    def no_field_work(self, monkeypatch):
+        def reached(*args):
+            raise self.Reached
 
-    Each block gets a pure power of one variable and links x_a^i x_b^(d-i)
-    joining its variables in a chain, inserted in random order, all with
-    coefficients nonzero mod p; then one random monomial of the block,
-    whose coefficient is p half the time.
-    """
-    perm = rng.sample(range(4), 4)
-    nonzero = [a for a in range(-2 * p, 2 * p + 1) if a % p]
-    form = {}
-
-    def mono(variables):
-        return tuple(variables.count(i) for i in range(4))
-
-    for block in ([perm[i] for i in b] for b in shape):
-        links = list(zip(block, block[1:]))
-        rng.shuffle(links)
-        form[mono([block[0]] * d)] = rng.choice(nonzero)
-        for a, b in links:
-            i = rng.randint(1, d - 1)
-            form[mono([a] * i + [b] * (d - i))] = rng.choice(nonzero)
-        extra = mono([rng.choice(block) for _ in range(d)])
-        form.setdefault(extra, rng.choice((p, rng.choice(nonzero))))
-    return form
-
-
-class TestBlocksAgainstOracle:
-    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
-    def test_seeded_block_forms(self, p, k):
-        f = build_field(p, k)
-        rng = random.Random(7000 + 100 * p + k)
-        # the oracle costs O(q^3 d) multiplications, so the larger fields get fewer forms;
-        # the fields with q <= 9 take d = p, so every shape is also counted with p | d
-        n_forms = 5 if f.q <= 9 else 2 if f.q < 20 else 1
-        start = rng.randrange(len(BLOCK_SHAPES))
-        for j in range(n_forms):
-            shape = BLOCK_SHAPES[(start + j) % len(BLOCK_SHAPES)]
-            d = max(p, 2) if f.q <= 9 else 2 if f.q > 20 else rng.choice((2, 3))
-            form = _block_form(rng, p, d, shape)
-            assert count_hypersurface_p3(form, f).count == naive_affine_chart_count(form, f), form
+        monkeypatch.setattr(FiniteField, "pow", reached)
+        monkeypatch.setattr(zeta, "_classes", reached)
 
     @pytest.mark.parametrize("form", [
-        MIXED_CUBIC,
-        {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1},  # Segre quadric: blocks {0, 3} and {1, 2}
-        {(1, 1, 0, 0): 1, (0, 0, 1, 1): 2, (0, 1, 1, 0): -1},  # a bridge joins two blocks
-        {(1, 1, 1, 1): -1},  # one mixed monomial
-    ], ids=["mixed-cubic", "segre", "bridge", "single-monomial"])
-    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
-    def test_fixed_forms(self, form, p, k):
-        f = build_field(p, k)
-        assert count_hypersurface_p3(form, f).count == naive_affine_chart_count(form, f)
+        {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1, (1, 1, 1, 0): 1},
+        {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1},
+        {(1, 1, 1, 1): -1},
+        {(1, 1, 0, 0): 5},  # zero mod 5: still not diagonal, not a ZeroFormError
+        {(2, 0, 0, 0): 1, (0, 1, 1, 0): 10},
+    ], ids=["mixed-cubic", "segre", "single-monomial", "zero-mod-p", "zero-mod-p-cross-term"])
+    def test_refused_before_any_field_work(self, no_field_work, form):
+        with pytest.raises(ValueError) as info:
+            count_hypersurface_p3(form, build_field(5, 1))
+        assert str(info.value) == "form is not diagonal"
 
+    def test_homogeneity_checked_first(self):
+        with pytest.raises(ValueError, match="^form is not homogeneous$"):
+            count_hypersurface_p3({(1, 1, 0, 0): 1, (3, 0, 0, 0): 1}, build_field(5, 1))
 
-class TestBlockWork:
-    def _visits(self, monkeypatch, form, field) -> int:
-        import surftop.zeta
+    def test_count_enumerates_nothing(self, monkeypatch):
+        def reached(*args):
+            raise self.Reached
 
-        real = surftop.zeta.projective_points
-        seen = []
-
-        def counting(f, n):
-            for point in real(f, n):
-                seen.append(point)
-                yield point
-
-        monkeypatch.setattr(surftop.zeta, "projective_points", counting)
-        count_hypersurface_p3(form, field)
-        return len(seen)
-
-    def test_three_plus_one_visits_only_p2(self, monkeypatch):
-        f = build_field(7, 2)
-        assert self._visits(monkeypatch, MIXED_CUBIC, f) <= f.q**2 + f.q + 2
-
-    def test_fermat_visits_one_representative_per_variable(self, monkeypatch):
-        assert self._visits(monkeypatch, fermat_form(3), build_field(7, 2)) == 4
-
-    def test_mixed_cubic_at_49(self):
-        # 2451 is also the count of an enumeration of all q^3+q^2+q+1 points of P3
-        assert count_hypersurface_p3(MIXED_CUBIC, build_field(7, 2)).count == 2451
+        monkeypatch.setattr(zeta, "projective_points", reached)
+        f = build_field(7, 3)
+        b2 = compute_invariants(catalog_lookup(model_surface_name("fermat6"))).b2
+        assert weil_bound_check(count_variety("fermat6", f), b2)
 
 
 class TestFormValidation:
@@ -787,6 +646,10 @@ class TestFormValidation:
     def test_non_integer_exponent_refused(self, form):
         with pytest.raises(ValueError, match="^exponents must be quadruples of non-negative integers$"):
             count_hypersurface_p3(form, build_field(5, 1))
+
+
+# 2x0^3 + 3x1^3 + x2^3 + 5x3^3
+NON_UNIT_CUBIC = {(3, 0, 0, 0): 2, (0, 3, 0, 0): 3, (0, 0, 3, 0): 1, (0, 0, 0, 3): 5}
 
 
 class TestFieldConstruction:
@@ -812,7 +675,7 @@ class TestFieldConstruction:
     def test_any_irreducible_modulus_gives_the_same_counts(self):
         other = SimpleNamespace(p=3, k=2, modulus=(2, 1, 1))  # x^2 + x + 2, not build_field's x^2 + 1
         g = build_field(3, 2)
-        for form in (fermat_form(2), fermat_form(4), MIXED_CUBIC):
+        for form in (fermat_form(2), fermat_form(4), NON_UNIT_CUBIC):
             assert naive_affine_chart_count(form, other) == count_hypersurface_p3(form, g).count
 
     def test_primality_tested_once(self, monkeypatch):
