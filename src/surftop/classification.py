@@ -79,7 +79,6 @@ class DefiniteDiagonal(Record):
 
 
 FormClass = IndefiniteOdd | IndefiniteEven | DefiniteDiagonal
-_VARIANTS = {cls.__name__: cls for cls in FormClass.__args__}
 
 
 # Standard even positive-definite rank-8 form: Gram matrix of the E8 root
@@ -162,22 +161,6 @@ def class_to_dict(c: FormClass) -> dict:
     if not isinstance(c, FormClass):
         raise TypeError(f"not a form class: {c!r}")
     return {"variant": type(c).__name__, **vars(c)}
-
-
-def class_from_dict(obj: dict) -> FormClass:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("form class object needs a 'variant' tag")
-    fields = {k: v for k, v in obj.items() if k != "variant"}
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in fields.values()):
-        raise ValueError("form class fields must be integers")
-    variant = obj["variant"]
-    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
-    if cls is None:
-        raise ValueError(f"unknown form class variant {variant!r}")
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ValueError(f"bad fields for {variant}: {exc}") from exc
 
 
 def _coeff(k: int) -> str:

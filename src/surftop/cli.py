@@ -23,10 +23,12 @@ are flushed, `main()` (the program: the `surftop` script, `python -m
 surftop.cli`) ends the process with `os._exit`, skipping interpreter
 teardown; so `atexit` handlers of an embedding process do not run, and
 `coverage run -m surftop.cli` saves no data. Callers that need the code
-back call `main(argv)`, which returns it. With --json the single result
-object is printed in canonical form (sorted keys, no whitespace, no
-floats) so that parse + re-serialize is byte-identical. Output is plain
-text; nothing is colorized, so NO_COLOR needs no special handling.
+back call `main(argv)`, which returns it. Each runner returns the
+library's records in its payload. With --json one encoder, _machine,
+prints it in canonical form (sorted keys, no whitespace, no floats), so
+that parse + re-serialize is byte-identical; text mode serializes
+nothing. Output is plain text; nothing is colorized, so NO_COLOR needs
+no special handling.
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
@@ -41,17 +43,24 @@ import sys
 from enum import Enum
 from types import SimpleNamespace
 
-from .errors import DomainError, InvalidInputError
+from . import Record
+from .errors import DomainError, InvalidInputError, text_repr
+
+
+def _plain(obj):
+    """An Enum by its value, a form class through class_to_dict, any other
+    Record by its fields; TypeError for anything else."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if not isinstance(obj, Record):
+        raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+    from .classification import FormClass, class_to_dict
+    return class_to_dict(obj) if isinstance(obj, FormClass) else vars(obj)
 
 
 def _machine(obj) -> str:
     import json
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _fields(obj) -> dict:
-    """A Record as a dict of its fields, enum fields by value."""
-    return {k: v.value if isinstance(v, Enum) else v for k, v in vars(obj).items()}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
 
 
 def _load_gram(path: str):
@@ -87,7 +96,7 @@ def _surface_spec(spec: str):
     except ValueError:
         return _catalog_surface(spec)
     if parts[2:] not in ([], ["spin"]):
-        raise InvalidInputError(f"bad surface spec {spec!r}: trailing part must be 'spin'")
+        raise InvalidInputError(f"bad surface spec {text_repr(spec)}: trailing part must be 'spin'")
     return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=len(parts) == 3)
 
 
@@ -97,7 +106,7 @@ def _primes_list(text: str) -> list[int]:
     except ValueError:
         primes = None
     if not primes:
-        message = "prime list is empty" if primes == [] else f"bad prime list {text!r}"
+        message = "prime list is empty" if primes == [] else f"bad prime list {text_repr(text)}"
     elif len(set(primes)) < len(primes):
         # a repeat would count its fields again; name it, not the whole list
         seen = set()
@@ -200,7 +209,7 @@ def parse_args(argv: list[str]):
 
 
 def _run_classify(args) -> tuple[dict, list[str]]:
-    from .classification import ClassificationMode, class_to_dict, classify_form, describe
+    from .classification import ClassificationMode, classify_form, describe
     from .lattice import invariants
     m = _load_gram(args.gram)
     mode = (ClassificationMode.SMOOTH_FOUR_MANIFOLD if args.smooth
@@ -213,15 +222,15 @@ def _run_classify(args) -> tuple[dict, list[str]]:
         f"determinant {inv.determinant}",
         f"class: {describe(cls)}",
     ]
-    return {"invariants": _fields(inv), "class": class_to_dict(cls)}, text
+    return {"invariants": inv, "class": cls}, text
 
 
 def _surface(s) -> tuple[dict, list[str]]:
-    from .classification import class_to_dict, describe
+    from .classification import describe
     from .surfaces import compute_invariants, intersection_form_class
     inv = compute_invariants(s)
     cls = intersection_form_class(s)
-    payload = {"surface": _fields(s), "invariants": _fields(inv), "class": class_to_dict(cls)}
+    payload = {"surface": s, "invariants": inv, "class": cls}
     text = [
         f"{s.name}: c1^2 {s.c1_sq}, c2 {s.c2}, {'spin' if s.spin else 'non-spin'}",
         f"  b2 {inv.b2}  signature {inv.sigma}  parity {inv.parity.value}  "
@@ -249,22 +258,29 @@ def _run_compare(args) -> tuple[dict, list[str]]:
 
 
 def _run_counterexample(args) -> tuple[dict, list[str]]:
-    from .classification import class_from_dict, describe
+    from .classification import describe
+    from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
     from .zeta import counterexample_report
     report = counterexample_report(args.primes, degrees=args.degrees)
     a, b = report["surfaces"]
+    surfaces = {n: catalog_lookup(n) for n in (a, b)}
+    homeo = homeomorphic(*surfaces.values())
+    classes = {n: intersection_form_class(s) for n, s in surfaces.items()}
+    invs = {n: compute_invariants(s) for n, s in surfaces.items()}
+    conclusion = ("point counts agree over every tested field, yet the surfaces are not homeomorphic: "
+                  "zeta data does not determine homeomorphism type"
+                  if report["all_counts_equal"] and not homeo
+                  else "expected counterexample conditions were NOT met; see the data")
     text = [f"surfaces: {a} vs {b} (P2 blown up at a point)"]
     for block in report["primes"]:
         for row in block["counts"]:
             mark = "==" if row["equal"] else "!="
             text.append(f"  q = {row['q']:>4}: {row[a]:>8} {mark} {row[b]:>8}")
-    ca, cb = (describe(class_from_dict(report["form_classes"][n])) for n in (a, b))
-    text += [
-        f"intersection forms: {ca} vs {cb}",
-        f"homeomorphic: {report['homeomorphic']}",
-        report["conclusion"],
-    ]
-    return report, text
+    text += [f"intersection forms: {describe(classes[a])} vs {describe(classes[b])}",
+             f"homeomorphic: {homeo}", conclusion]
+    return {**report, "homeomorphic": homeo, "form_classes": classes, "conclusion": conclusion,
+            "invariants": {n: {"b2": i.b2, "sigma": i.sigma, "parity": i.parity}
+                           for n, i in invs.items()}}, text
 
 
 def _run_count(args) -> tuple[dict, list[str]]:

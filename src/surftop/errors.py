@@ -82,3 +82,9 @@ def int_text(n: int) -> str:
         return str(n)
     except ValueError:
         return f"of {n.bit_length()} bits"
+
+
+def text_repr(text: str) -> str:
+    """repr(text) for a message, or, past 40 characters, the repr of the
+    first 40 and the length, so a message never echoes a huge argument."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"

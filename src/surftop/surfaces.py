@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import Record
 from .classification import ClassificationMode, FormClass, classify_form
-from .errors import InvalidSurfaceError, int_text
+from .errors import InvalidSurfaceError, int_text, text_repr
 from .lattice import FormInvariants, Parity
 
 # convenience spellings accepted by name lookup
@@ -161,4 +161,4 @@ def catalog_lookup(name: str) -> SurfaceData:
     for s in _load_catalog():
         if s.name == wanted:
             return s
-    raise KeyError(f"no catalog surface named {name!r}")
+    raise KeyError(f"no catalog surface named {text_repr(name)}")

@@ -3,7 +3,9 @@
 Fields GF(p^k) are built for k <= 3 with a deterministic irreducible
 modulus; elements are coefficient tuples and all arithmetic is exact.
 Zeta data is carried extensionally as count sequences over q = p, p^2,
-p^3.
+p^3. This layer imports no other: counterexample_report gives the
+counts of the counterexample, and the `counterexample` command sets
+them against the topology from the surfaces layer.
 
 Every count is an exact count of solutions; closed forms such as
 (q+1)^2 for P1 x P1 are asserted in tests, never used as the
@@ -35,7 +37,7 @@ import itertools
 from collections import Counter
 
 from . import Record
-from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text
+from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text, text_repr
 
 MAX_Q = 343
 
@@ -100,10 +102,6 @@ class FiniteField:
     def elements(self):
         """All q elements, coefficient tuples in lexicographic order."""
         return itertools.product(range(self.p), repeat=self.k)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
         p = self.p
@@ -297,7 +295,7 @@ MODELS = {
 def count_variety(variety: str, field: FiniteField) -> PointCount:
     """Count a shipped model by id; KeyError for unknown ids."""
     if variety not in MODELS:
-        raise KeyError(f"no countable model named {variety!r}")
+        raise KeyError(f"no countable model named {text_repr(variety)}")
     if variety == "P1xP1":
         return count_p1xp1(field)
     if variety == "Bl1P2":
@@ -307,13 +305,12 @@ def count_variety(variety: str, field: FiniteField) -> PointCount:
 
 
 def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
-    """Equal zeta data vs distinct homeomorphism type, in one structured report.
+    """The counts of the counterexample: P1 x P1 against P2 blown up at a point.
 
-    For each prime and each extension degree up to `degrees`, counts the
-    points of P1 x P1 and of P2 blown up at a point; alongside, decides
-    homeomorphism and classifies both intersection forms. The conclusion
-    records that matching count sequences cannot detect the differing
-    intersection-form parity.
+    For each prime and each extension degree up to `degrees`, the point
+    counts of both surfaces over GF(p^k) and whether they agree. Every
+    field is built, and so checked, before any count. The `counterexample`
+    command sets these counts against the topology of the two surfaces.
     """
     if not primes:
         raise ValueError("need at least one prime")
@@ -322,17 +319,6 @@ def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
         raise ValueError(f"prime {next(p for p in primes if p in seen or seen.add(p))} is repeated")
     if not 1 <= degrees <= 3:
         raise ValueError("degrees must be between 1 and 3")
-    from .classification import class_to_dict
-    from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
-    quadric = catalog_lookup("P1xP1")
-    blowup = catalog_lookup("Bl1P2")
-    homeo = homeomorphic(quadric, blowup)
-    classes, inv = {}, {}
-    for s in (quadric, blowup):
-        classes[s.name] = class_to_dict(intersection_form_class(s))
-        si = compute_invariants(s)
-        inv[s.name] = {"b2": si.b2, "sigma": si.sigma, "parity": si.parity.value}
-    # every field is checked before any counting starts
     fields = [[build_field(p, k) for k in range(1, degrees + 1)] for p in primes]
     per_prime = []
     all_equal = True
@@ -345,20 +331,5 @@ def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
             all_equal = all_equal and equal
             rows.append({"q": f.q, "P1xP1": a.count, "Bl1P2": b.count, "equal": equal})
         per_prime.append({"p": p, "counts": rows})
-    if all_equal and not homeo:
-        conclusion = (
-            "point counts agree over every tested field, yet the surfaces are not "
-            "homeomorphic: zeta data does not determine homeomorphism type"
-        )
-    else:
-        conclusion = "expected counterexample conditions were NOT met; see the data"
-    return {
-        "surfaces": ["P1xP1", "Bl1P2"],
-        "degrees": degrees,
-        "primes": per_prime,
-        "all_counts_equal": all_equal,
-        "homeomorphic": homeo,
-        "form_classes": classes,
-        "invariants": inv,
-        "conclusion": conclusion,
-    }
+    return {"surfaces": ["P1xP1", "Bl1P2"], "degrees": degrees, "primes": per_prime,
+            "all_counts_equal": all_equal}

@@ -268,13 +268,13 @@ def projective_zeros(field, hists) -> int:
 
     Each f_i is given as the histogram of its values over the affine space
     of its own block B_i of variables. The histograms are convolved under
-    field.add, smallest support first; the last one is only paired against
-    the negated partial sums, since only the weight N_aff of the total at 0
-    is needed: the N_aff - 1 nonzero zeros lie on (N_aff - 1) / (q - 1)
-    lines through the origin.
+    OracleField.add, smallest support first; the last one is only paired
+    against the negated partial sums, since only the weight N_aff of the
+    total at 0 is needed: the N_aff - 1 nonzero zeros lie on
+    (N_aff - 1) / (q - 1) lines through the origin.
     """
     *rest, last = sorted(hists, key=len)
-    add = field.add
+    add = OracleField(field.p, field.k, field.modulus).add
     acc = {field.zero: 1}
     for h in rest:
         nxt: dict = {}

@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from surftop.cli import main, parse_args
-from surftop.classification import E8
+from surftop import surfaces
+from surftop.cli import _machine, main, parse_args
+from surftop.classification import E8, IndefiniteOdd
+from surftop.lattice import Parity
 
 
 def write_gram(tmp_path, name, obj):
@@ -190,6 +192,29 @@ class TestCounterexampleCommand:
         qs = [row["q"] for block in obj["primes"] for row in block["counts"]]
         assert qs == [2, 3]
 
+    def test_json_sets_the_topology_beside_the_counts(self, capsys):
+        assert main(["counterexample", "--primes", "3", "--degrees", "2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = report["primes"][0]["counts"]
+        assert [(r["q"], r["P1xP1"], r["Bl1P2"]) for r in rows] == [(3, 16, 16), (9, 100, 100)]
+        assert report["homeomorphic"] is False
+        assert report["form_classes"] == {
+            "P1xP1": {"variant": "IndefiniteEven", "e8_signed_count": 0, "h_count": 1},
+            "Bl1P2": {"variant": "IndefiniteOdd", "n_plus": 1, "n_minus": 1},
+        }
+        assert report["invariants"] == {
+            "P1xP1": {"b2": 2, "sigma": 0, "parity": "even"},
+            "Bl1P2": {"b2": 2, "sigma": 0, "parity": "odd"},
+        }
+        assert "does not determine homeomorphism type" in report["conclusion"]
+
+    def test_conclusion_when_the_conditions_fail(self, monkeypatch, capsys):
+        monkeypatch.setattr(surfaces, "homeomorphic", lambda a, b: True)
+        assert main(["counterexample", "--primes", "2", "--degrees", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "homeomorphic: True" in out
+        assert out.endswith("expected counterexample conditions were NOT met; see the data\n")
+
     def test_not_prime(self, capsys):
         assert main(["counterexample", "--primes", "6"]) == 1
         assert capsys.readouterr().err.startswith("NotPrime")
@@ -240,6 +265,30 @@ class TestCountCommand:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestLongArgumentsAreNotEchoed:
+    """A message quotes at most the first 40 characters of an argument, and its length."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["counterexample", "--primes", "7" * 60_000 + ",x"], 2),
+            (["count", "--variety", "v" * 100_000, "--p", "3"], 1),
+            (["surface", "--name", "v" * 100_000], 1),
+            (["compare", "--a", "8,4," + "v" * 100_000, "--b", "P1xP1"], 1),
+        ],
+        ids=["prime list", "variety", "surface name", "surface spec"],
+    )
+    def test_stderr_stays_short(self, argv, code, capsys):
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse reports the prime list
+            got = exc.code
+        assert got == code
+        err = capsys.readouterr().err
+        assert f"{argv[2][:40]!r}... ({len(argv[2])} characters)" in err
+        assert len(err.encode()) < 300
+
+
 class TestCapBeforePrimality:
     """A huge characteristic is refused by the cap, before any trial division."""
 
@@ -284,6 +333,17 @@ class TestMachineOutputRoundTrip:
         assert main(["classify", "--gram", path, "--json"]) == 0
         body = capsys.readouterr().out.strip()
         assert canonical(json.loads(body)) == body
+
+
+class TestMachineEncoder:
+    def test_records_and_enums(self):
+        assert _machine({"class": IndefiniteOdd(1, 1), "parity": Parity.ODD}) == (
+            '{"class":{"n_minus":1,"n_plus":1,"variant":"IndefiniteOdd"},"parity":"odd"}')
+
+    @pytest.mark.parametrize("obj", [object(), {1, 2}, 1j])
+    def test_non_record_is_a_type_error(self, obj):
+        with pytest.raises(TypeError, match="cannot encode"):
+            _machine({"value": [obj]})
 
 
 class TestOutputHygiene:

@@ -3,7 +3,7 @@
 import pytest
 
 from surftop import errors
-from surftop.errors import DomainError, EmptyFormError, int_text
+from surftop.errors import DomainError, EmptyFormError, int_text, text_repr
 
 # written by hand from the explicit `name = ...` lines errors.py had before
 # the names were derived from the class names
@@ -53,3 +53,17 @@ def test_empty_form_is_still_a_value_error():
 )
 def test_int_text(n, text):
     assert int_text(n) == text
+
+
+@pytest.mark.parametrize(
+    "text, quoted",
+    [
+        ("2,x", "'2,x'"),
+        ("a" * 40, repr("a" * 40)),
+        ("a" * 41, repr("a" * 40) + "... (41 characters)"),
+        ("\n" * 100_000, repr("\n" * 40) + "... (100000 characters)"),
+    ],
+    ids=["short", "40 characters", "41 characters", "100000 newlines"],
+)
+def test_text_repr(text, quoted):
+    assert text_repr(text) == quoted

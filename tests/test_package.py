@@ -92,6 +92,22 @@ def test_importing_one_layer_loads_no_other():
     assert out.split() == ["surftop", "surftop.lattice"]
 
 
+def test_counting_the_counterexample_loads_no_other_layer():
+    code = (
+        "import sys, surftop.zeta; surftop.zeta.counterexample_report([2], 1); "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'surftop')))"
+    )
+    src = str(Path(surftop.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["surftop", "surftop.errors", "surftop.zeta"]
+
+
 def test_cli_start_loads_no_rational_arithmetic():
     code = "import sys, surftop.cli; print(' '.join(m for m in ('fractions', 'decimal') if m in sys.modules))"
     src = str(Path(surftop.__file__).parents[1])
