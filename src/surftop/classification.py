@@ -8,8 +8,6 @@ standard diagonal form; in abstract-lattice mode definite input is
 refused rather than guessed at.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 
 from . import Record

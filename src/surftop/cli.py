@@ -36,8 +36,6 @@ digits per integer; a file that cannot be read or parsed is refused
 as InvalidInput.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from enum import Enum
@@ -82,7 +80,7 @@ def _catalog_surface(name: str):
     try:
         return catalog_lookup(name)
     except KeyError as exc:
-        raise InvalidInputError(str(exc)) from exc
+        raise InvalidInputError(exc.args[0]) from exc
 
 
 def _surface_spec(spec: str):
@@ -289,7 +287,7 @@ def _run_count(args) -> tuple[dict, list[str]]:
     try:
         pc = count_variety(args.variety, field)
     except KeyError as exc:
-        raise InvalidInputError(str(exc)) from exc
+        raise InvalidInputError(exc.args[0]) from exc
     payload = {"variety": pc.variety, "p": args.p, "k": args.k, "q": pc.q, "count": pc.count}
     return payload, [f"{pc.variety} over GF({pc.q}): {pc.count} points"]
 

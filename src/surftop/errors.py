@@ -6,8 +6,6 @@ so front ends can map failures to diagnostics without parsing message
 text.
 """
 
-from __future__ import annotations
-
 
 class DomainError(Exception):
     """Base class for expected, named rejections."""

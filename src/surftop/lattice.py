@@ -7,8 +7,6 @@ signature, parity) are basis invariants. Determinant and signature come
 from one fraction-free symmetric elimination pass.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from math import isqrt
 

@@ -10,8 +10,6 @@ Validation is strict: triples that violate an integrality or positivity
 constraint raise InvalidSurfaceError rather than being classified.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from . import Record

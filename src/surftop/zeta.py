@@ -9,8 +9,7 @@ them against the topology from the surfaces layer.
 
 Every count is an exact count of solutions; closed forms such as
 (q+1)^2 for P1 x P1 are asserted in tests, never used as the
-implementation. P1 x P1 is counted by enumerating its representative
-pairs. Every other count is of a diagonal equation c_1 x_1^d + ... +
+implementation, and each is of a diagonal equation c_1 x_1^d + ... +
 c_n x_n^d = 0 (Weil, "Numbers of solutions of equations in finite
 fields", Bull. AMS 55 (1949), sections 1-2): its affine zeros are the
 weight at 0 of the convolution of its terms' value histograms. The term
@@ -20,9 +19,9 @@ these histograms, and their convolutions, are class functions: constant
 on {0} and on each of the e cosets of H. So each convolution step reads
 only the cyclotomic numbers of those cosets (Berndt, Evans and Williams,
 Gauss and Jacobi Sums, 1998, ch. 2), and nothing is enumerated. A
-hypersurface in P3 must be diagonal, a sum of terms c_i x_i^d; the
-incidence model of Bl1P2 is linear in x for each y in P1: the case
-d = 1.
+hypersurface in P3 must be diagonal, a sum of terms c_i x_i^d. Both
+surfaces of the counterexample, P1 x P1 and Bl1P2, are families of
+lines in P2 over P1, linear in x for each y: the case d = 1.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
 at the cap a shipped model takes under a second. FiniteField refuses
@@ -30,8 +29,6 @@ q > MAX_Q before it tests p for primality and picks its own irreducible
 modulus, so every nonzero element is a unit. Smoothness of
 user-supplied forms mod p is not verified.
 """
-
-from __future__ import annotations
 
 import itertools
 from collections import Counter
@@ -201,33 +198,38 @@ def _class_zeros(field: FiniteField, table, funcs) -> int:
     return (acc[0] - 1) // (field.q - 1)
 
 
+def _line_family(field: FiniteField, coeffs) -> int:
+    """Points ([x0:x1:x2], [y0:y1]) of P2 x P1 with c0 x0 + c1 x1 + c2 x2 = 0, c = coeffs(y).
+
+    For each y the equation is separable in x, so its points in P2 come
+    from the class functions of its terms over the classes {0} and the
+    units (the case d = 1). The term c x takes the value 0 at all q points
+    for c = 0, and every value once for a unit c, since x -> c x permutes
+    GF(q) (Lidl and Niederreiter, Finite Fields, 1983); FiniteField
+    guarantees that every nonzero c is a unit. So the q + 1 fibres fall
+    into zero/unit patterns of c(y), the kernel counts each pattern once,
+    times its number of fibres, and the count costs O(q) field operations.
+    """
+    _, table = _classes(field, {x for x in field.elements() if x != field.zero})
+    term = {False: [field.q, 0], True: [1, 1]}
+    patterns = Counter(tuple(c != field.zero for c in coeffs(y)) for y in projective_points(field, 1))
+    return sum(m * _class_zeros(field, table, [term[unit] for unit in units])
+               for units, m in patterns.items())
+
+
 def count_p1xp1(field: FiniteField) -> PointCount:
-    """Points of P1 x P1 by direct enumeration of representative pairs."""
-    line = list(projective_points(field, 1))
-    n = sum(1 for _pair in itertools.product(line, line))
+    """Points of P1 x P1 on its model {x2 = 0} x P1: every fibre is the line x2 = 0."""
+    n = _line_family(field, lambda y: (field.zero, field.zero, field.one))
     return PointCount(variety="P1xP1", q=field.q, count=n)
 
 
 def count_blowup_p2(field: FiniteField) -> PointCount:
     """Points of the blowup of P2 at [1:0:0], counted on its incidence model.
 
-    The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1.
-    For each y the equation 0 * x0 + y1 x1 - y0 x2 = 0 is separable in x,
-    so its points in P2 come from the class functions of its terms over
-    the classes {0} and the units (the case d = 1). The term c x takes
-    the value 0 at all q points for c = 0, and every value once for a
-    unit c, since x -> c x permutes GF(q) (Lidl and Niederreiter, Finite
-    Fields, 1983); FiniteField guarantees that every nonzero c is a unit.
-    So the q + 1 fibres fall into three zero/nonzero patterns of
-    (y1, -y0), the kernel counts each pattern once, times its number of
-    fibres, and the count costs O(q) field operations.
+    The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1:
+    the family of lines 0 x0 + y1 x1 - y0 x2 = 0.
     """
-    _, table = _classes(field, {x for x in field.elements() if x != field.zero})
-    term = {False: [field.q, 0], True: [1, 1]}
-    # -y0 is zero exactly when y0 is
-    patterns = Counter((y1 != field.zero, y0 != field.zero) for y0, y1 in projective_points(field, 1))
-    n = sum(m * _class_zeros(field, table, [term[False], term[y1_unit], term[y0_unit]])
-            for (y1_unit, y0_unit), m in patterns.items())
+    n = _line_family(field, lambda y: (field.zero, y[1], field.sub(field.zero, y[0])))
     return PointCount(variety="Bl1P2", q=field.q, count=n)
 
 

@@ -5,8 +5,8 @@ algorithm: determinants by memoized cofactor expansion instead of
 Bareiss, signatures by characteristic-polynomial sign counting instead
 of congruence diagonalization, parity by brute evaluation of Q(x,x)
 mod 2, and point counts by chart-by-chart nested loops with no caching
-(hypersurfaces in P3) or over every point pair (the Bl1P2 incidence
-model), where production counts separable equations by value
+(hypersurfaces in P3) or over every point pair (the P1xP1 and Bl1P2
+models in P2 x P1), where production counts separable equations by value
 distributions. The point counts do their field arithmetic in
 OracleField, built from p, k and the modulus alone, so a fault in the
 production field cannot show up on both sides of a comparison. Value
@@ -226,12 +226,9 @@ def naive_affine_chart_count(coeffs, field) -> int:
     return total
 
 
-def naive_blowup_count(field) -> int:
-    """Points of {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} in P2 x P1.
-
-    Tests the incidence equation at every pair of chart representatives,
-    in an OracleField with field's p, k and modulus.
-    """
+def _naive_pair_count(field, holds) -> int:
+    """Pairs (x, y) of chart representatives of P2 x P1 with holds(f, x, y),
+    in an OracleField f with field's p, k and modulus."""
     f = OracleField(field.p, field.k, field.modulus)
 
     def reps(n):
@@ -240,12 +237,19 @@ def naive_blowup_count(field) -> int:
                 yield (f.zero,) * pivot + (f.one,) + tail
 
     lines = list(reps(1))
-    n = 0
-    for x in reps(2):
-        for y in lines:
-            if f.mul(x[1], y[1]) == f.mul(x[2], y[0]):
-                n += 1
-    return n
+    return sum(1 for x in reps(2) for y in lines if holds(f, x, y))
+
+
+def naive_blowup_count(field) -> int:
+    """Points of {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} in P2 x P1,
+    testing the incidence equation at every pair of chart representatives."""
+    return _naive_pair_count(field, lambda f, x, y: f.mul(x[1], y[1]) == f.mul(x[2], y[0]))
+
+
+def naive_p1xp1_count(field) -> int:
+    """Points of the model {x2 = 0} x P1 of P1 x P1 in P2 x P1,
+    testing x2 = 0 at every pair of chart representatives."""
+    return _naive_pair_count(field, lambda f, x, y: x[2] == f.zero)
 
 
 def orbit_hist(field, reps: Counter, dth: Counter) -> Counter:

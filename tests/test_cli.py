@@ -289,6 +289,23 @@ class TestLongArgumentsAreNotEchoed:
         assert len(err.encode()) < 300
 
 
+class TestUnknownNameMessages:
+    """An unknown name is reported by its message, not by the repr of a KeyError."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["surface", "--name", "Enriques"], "InvalidInput: no catalog surface named 'Enriques'"),
+            (["count", "--variety", "nope", "--p", "3"], "InvalidInput: no countable model named 'nope'"),
+            (["compare", "--a", "nope", "--b", "P2"], "InvalidInput: no catalog surface named 'nope'"),
+        ],
+        ids=["surface", "count", "compare"],
+    )
+    def test_stderr_line(self, argv, line, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == line + "\n"
+
+
 class TestCapBeforePrimality:
     """A huge characteristic is refused by the cap, before any trial division."""
 

@@ -122,7 +122,7 @@ def test_cli_start_loads_no_rational_arithmetic():
 
 
 def _loaded_by(argv: list[str], cwd: Path) -> tuple[list[str], list[str]]:
-    """(surftop modules, of dataclasses, inspect and random those loaded)
+    """(surftop modules, of __future__, dataclasses, inspect and random those loaded)
     after a fresh process runs surftop.cli.main(argv) with stdout captured.
     The process starts without site (-S), so that no .pth file imports a
     module before surftop does."""
@@ -132,7 +132,7 @@ def _loaded_by(argv: list[str], cwd: Path) -> tuple[list[str], list[str]]:
         f"    code = surftop.cli.main({argv!r})\n"
         "assert code == 0, code\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'surftop')))\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules))"
+        "print(' '.join(m for m in ('__future__', 'dataclasses', 'inspect', 'random') if m in sys.modules))"
     )
     src = str(Path(surftop.__file__).parents[1])
     out = subprocess.run(

@@ -15,6 +15,7 @@ from oracles import (
     model_surface_name,
     naive_affine_chart_count,
     naive_blowup_count,
+    naive_p1xp1_count,
     orbit_hist,
     projective_zeros,
     weil_bound_check,
@@ -440,6 +441,32 @@ class TestBlowupAgainstOracle:
     def test_matches_naive_incidence_count(self, p, k):
         f = build_field(p, k)
         assert count_blowup_p2(f).count == naive_blowup_count(f)
+
+
+class TestP1xP1AgainstOracle:
+    @pytest.mark.parametrize("p,k", FIELDS_TO_27)
+    def test_matches_naive_pair_count(self, p, k):
+        f = build_field(p, k)
+        assert count_p1xp1(f).count == naive_p1xp1_count(f)
+
+
+class TestBothSurfacesThroughTheClassKernel:
+    """Both surfaces of the counterexample are families of lines over P1,
+    counted by _class_zeros once per zero/unit pattern of their fibres."""
+
+    @pytest.mark.parametrize("p,k", SMALL_FIELDS)
+    def test_both_counters_reach_class_zeros(self, p, k, monkeypatch):
+        f = build_field(p, k)
+        calls = []
+        real = zeta._class_zeros
+        monkeypatch.setattr(
+            zeta, "_class_zeros",
+            lambda field, table, funcs: calls.append(funcs) or real(field, table, funcs))
+        assert count_p1xp1(f).count == (f.q + 1) ** 2
+        # every fibre is the line 0 x0 + 0 x1 + 1 x2 = 0
+        assert calls == [[[f.q, 0], [f.q, 0], [1, 1]]]
+        assert count_blowup_p2(f).count == (f.q + 1) ** 2
+        assert len(calls) == 1 + 3
 
 
 class TestBlowupUnitClasses:
