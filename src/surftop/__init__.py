@@ -15,10 +15,11 @@ import importlib
 
 # layer module -> the public names it defines
 _LAYERS = {
-    "classification": "E8 HYPERBOLIC ClassificationMode DefiniteDiagonal FormClass IndefiniteEven "
-                      "IndefiniteOdd canonical_gram classify_form describe forms_isomorphic",
+    "classification": "ClassificationMode DefiniteDiagonal FormClass FormInvariants IndefiniteEven "
+                      "IndefiniteOdd Parity classify_form describe",
     "errors": "DomainError",
-    "lattice": "FormInvariants GramMatrix Parity block_diag determinant diag invariants parity",
+    "lattice": "E8 HYPERBOLIC GramMatrix block_diag canonical_gram determinant diag forms_isomorphic "
+               "invariants parity",
     "surfaces": "SurfaceData SurfaceInvariants blow_up catalog catalog_lookup compute_invariants "
                 "homeomorphic hypersurface intersection_form_class",
     "zeta": "FiniteField PointCount build_field count_blowup_p2 count_hypersurface_p3 count_p1xp1 "

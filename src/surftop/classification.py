@@ -1,11 +1,11 @@
-"""Canonical classes of nondegenerate unimodular forms.
+"""Canonical classes of nondegenerate unimodular forms, from their invariants.
 
 Indefinite forms are determined by (rank, signature, parity) and land in
 one of two canonical shapes: a diagonal odd form or a sum of E8 blocks
 and hyperbolic planes. Definite forms are classified only under the
-smooth four-manifold hypothesis, where they are forced to be +/- the
-standard diagonal form; in abstract-lattice mode definite input is
-refused rather than guessed at.
+smooth four-manifold hypothesis, which forces +/- the standard diagonal
+form; in abstract-lattice mode they are refused rather than guessed at.
+No other layer is imported: the Gram matrices realizing a class are in `lattice`.
 """
 
 from enum import Enum
@@ -13,7 +13,40 @@ from enum import Enum
 from . import Record
 from .errors import (DefiniteEvenUnrealizableError, DefiniteNotClassifiedError, DegenerateFormError,
                      EmptyFormError, InconsistentEvenSignatureError, NotUnimodularError, int_text)
-from .lattice import FormInvariants, GramMatrix, Parity, block_diag, diag, invariants
+
+
+class Parity(Enum):
+    EVEN = "even"
+    ODD = "odd"
+
+
+class FormInvariants(Record):
+    """Congruence invariants of a symmetric integer form.
+
+    For nondegenerate forms rank = b_plus + b_minus and the determinant
+    sign is (-1)**b_minus; degenerate forms report b_plus + b_minus < rank.
+    """
+
+    rank: int
+    b_plus: int
+    b_minus: int
+    signature: int
+    parity: Parity
+    determinant: int
+
+    def __post_init__(self):
+        if min(self.rank, self.b_plus, self.b_minus) < 0:
+            raise ValueError("rank and b+/b- must be non-negative")
+        if self.signature != self.b_plus - self.b_minus:
+            raise ValueError("signature must equal b_plus - b_minus")
+        inertia = self.b_plus + self.b_minus
+        if self.determinant != 0:
+            if inertia != self.rank:
+                raise ValueError("nondegenerate form needs b_plus + b_minus = rank")
+            if (self.determinant > 0) != (self.b_minus % 2 == 0):
+                raise ValueError("determinant sign must be (-1)**b_minus")
+        elif inertia >= self.rank and self.rank > 0:
+            raise ValueError("degenerate form needs b_plus + b_minus < rank")
 
 
 class ClassificationMode(Enum):
@@ -79,24 +112,6 @@ class DefiniteDiagonal(Record):
 FormClass = IndefiniteOdd | IndefiniteEven | DefiniteDiagonal
 
 
-# Standard even positive-definite rank-8 form: Gram matrix of the E8 root
-# basis (chain 0-1-2-3-4-5-6 with node 7 hanging off node 4), determinant 1.
-E8 = GramMatrix([
-    [2, -1, 0, 0, 0, 0, 0, 0],
-    [-1, 2, -1, 0, 0, 0, 0, 0],
-    [0, -1, 2, -1, 0, 0, 0, 0],
-    [0, 0, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, -1],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, 0],
-    [0, 0, 0, 0, -1, 0, 0, 2],
-])
-
-MINUS_E8 = GramMatrix([[-v for v in row] for row in E8.entries])
-
-HYPERBOLIC = GramMatrix([[0, 1], [1, 0]])
-
-
 def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:
     """Canonical class of a nondegenerate unimodular form from its invariants.
 
@@ -126,32 +141,6 @@ def classify_form(inv: FormInvariants, mode: ClassificationMode) -> FormClass:
     if inv.parity is Parity.ODD:
         return IndefiniteOdd(n_plus=(r + s) // 2, n_minus=(r - s) // 2)
     return IndefiniteEven(e8_signed_count=s // 8, h_count=(r - abs(s)) // 2)
-
-
-def canonical_gram(c: FormClass) -> GramMatrix:
-    """Block-diagonal Gram matrix realizing the class.
-
-    Block order is fixed: positive blocks first, then negative, then
-    hyperbolic planes, so output is deterministic and byte-stable.
-    """
-    if isinstance(c, IndefiniteOdd):
-        return diag(*([1] * c.n_plus + [-1] * c.n_minus))
-    if isinstance(c, IndefiniteEven):
-        e8_blocks = [E8 if c.e8_signed_count > 0 else MINUS_E8] * abs(c.e8_signed_count)
-        return block_diag(*e8_blocks, *([HYPERBOLIC] * c.h_count))
-    if isinstance(c, DefiniteDiagonal):
-        return diag(*([c.sign] * c.rank))
-    raise TypeError(f"not a form class: {c!r}")
-
-
-def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> bool:
-    """True iff both forms land in the same canonical class.
-
-    For indefinite forms this is exactly integral isometry; for definite
-    forms it is isometry under the smooth-realizability hypothesis, and
-    abstract definite input is refused (never silently compared).
-    """
-    return classify_form(invariants(a), mode) == classify_form(invariants(b), mode)
 
 
 def class_to_dict(c: FormClass) -> dict:

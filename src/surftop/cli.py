@@ -32,8 +32,9 @@ no special handling.
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
-digits per integer; a file that cannot be read or parsed is refused
-as InvalidInput.
+digits per integer. At most MAX_GRAM_CHARS (2**24) characters are read;
+a longer file, or one that cannot be read or parsed, is refused as
+InvalidInput.
 """
 
 import os
@@ -43,6 +44,10 @@ from types import SimpleNamespace
 
 from . import Record
 from .errors import DomainError, InvalidInputError, text_repr
+
+
+# about 20 times the largest compact Gram file whose elimination MAX_ELIMINATION_WORK admits
+MAX_GRAM_CHARS = 2**24
 
 
 def _plain(obj):
@@ -66,12 +71,15 @@ def _load_gram(path: str):
     from .lattice import GramMatrix
     try:
         with open(path, "r") as fh:
-            return GramMatrix.from_dict(json.load(fh))
+            text = fh.read(MAX_GRAM_CHARS + 1)  # /dev/zero and endless pipes end here
+        if len(text) > MAX_GRAM_CHARS:
+            raise ValueError(f"file is longer than the cap of {MAX_GRAM_CHARS} characters")
+        return GramMatrix.from_dict(json.loads(text))
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
-        # malformed JSON, bad UTF-8, an integer over the digit limit, nesting
-        # deeper than the parser's recursion limit, or a bad Gram object
+        # a file over the cap, malformed JSON, bad UTF-8, an integer over the digit
+        # limit, nesting deeper than the parser's recursion limit, or a bad Gram object
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 

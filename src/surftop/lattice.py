@@ -1,21 +1,18 @@
-"""Exact linear algebra for symmetric integer bilinear forms.
+"""Gram matrices of symmetric integer forms and their exact invariants.
 
-Everything here runs over arbitrary-precision integers; no rationals
-and no floating point are used anywhere. A form is carried by its Gram
-matrix in some integral basis, and all derived quantities (determinant,
-signature, parity) are basis invariants. Determinant and signature come
-from one fraction-free symmetric elimination pass.
+This is the one layer that knows Gram matrices. A form is carried by its
+Gram matrix in an integral basis; determinant, signature and parity are
+basis invariants, computed exactly over the integers (no rationals, no
+floats), the first two in one fraction-free symmetric elimination pass.
+E8, H and canonical_gram realize the classes of `classification`.
 """
 
-from enum import Enum
 from math import isqrt
 
 from . import Record
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
+from .classification import (ClassificationMode, DefiniteDiagonal, FormClass, FormInvariants,
+                             IndefiniteEven, IndefiniteOdd, Parity, classify_form)
+from .errors import int_text
 
 
 class GramMatrix(Record):
@@ -61,35 +58,6 @@ class GramMatrix(Record):
         return cls(entries)
 
 
-class FormInvariants(Record):
-    """Congruence invariants of a symmetric integer form.
-
-    For nondegenerate forms rank = b_plus + b_minus and the determinant
-    sign is (-1)**b_minus; degenerate forms report b_plus + b_minus < rank.
-    """
-
-    rank: int
-    b_plus: int
-    b_minus: int
-    signature: int
-    parity: Parity
-    determinant: int
-
-    def __post_init__(self):
-        if min(self.rank, self.b_plus, self.b_minus) < 0:
-            raise ValueError("rank and b+/b- must be non-negative")
-        if self.signature != self.b_plus - self.b_minus:
-            raise ValueError("signature must equal b_plus - b_minus")
-        inertia = self.b_plus + self.b_minus
-        if self.determinant != 0:
-            if inertia != self.rank:
-                raise ValueError("nondegenerate form needs b_plus + b_minus = rank")
-            if (self.determinant > 0) != (self.b_minus % 2 == 0):
-                raise ValueError("determinant sign must be (-1)**b_minus")
-        elif inertia >= self.rank and self.rank > 0:
-            raise ValueError("degenerate form needs b_plus + b_minus < rank")
-
-
 def diag(*values: int) -> GramMatrix:
     """Diagonal form <v1> + <v2> + ... as a Gram matrix."""
     n = len(values)
@@ -109,6 +77,24 @@ def block_diag(*blocks: GramMatrix) -> GramMatrix:
                 rows[off + i][off + j] = b.entries[i][j]
         off += b.n
     return GramMatrix(rows)
+
+
+# Standard even positive-definite rank-8 form: Gram matrix of the E8 root
+# basis (chain 0-1-2-3-4-5-6 with node 7 hanging off node 4), determinant 1.
+E8 = GramMatrix([
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, 0],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, -1],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, 0, 0, -1, 0, 0, 2],
+])
+
+MINUS_E8 = GramMatrix([[-v for v in row] for row in E8.entries])
+
+HYPERBOLIC = GramMatrix([[0, 1], [1, 0]])
 
 
 def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
@@ -142,7 +128,6 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
     h = sum(max(map(abs, row)).bit_length() for row in m.entries) + n * ((n.bit_length() + 1) // 2)
     work = n * n * h * isqrt(h)
     if work > MAX_ELIMINATION_WORK:
-        from .errors import int_text  # only here, so importing lattice loads no other module
         raise ValueError(f"elimination work {int_text(work)} exceeds the cap {MAX_ELIMINATION_WORK}")
     a = [list(row) for row in m.entries]
     pos = neg = 0
@@ -201,6 +186,32 @@ def invariants(m: GramMatrix) -> FormInvariants:
         # the pass above is reused; perfbench samples traced determinant() calls
         determinant=determinant(m),
     )
+
+
+def canonical_gram(c: FormClass) -> GramMatrix:
+    """Block-diagonal Gram matrix realizing the class.
+
+    Block order is fixed: positive blocks first, then negative, then
+    hyperbolic planes, so output is deterministic and byte-stable.
+    """
+    if isinstance(c, IndefiniteOdd):
+        return diag(*([1] * c.n_plus + [-1] * c.n_minus))
+    if isinstance(c, IndefiniteEven):
+        e8_blocks = [E8 if c.e8_signed_count > 0 else MINUS_E8] * abs(c.e8_signed_count)
+        return block_diag(*e8_blocks, *([HYPERBOLIC] * c.h_count))
+    if isinstance(c, DefiniteDiagonal):
+        return diag(*([c.sign] * c.rank))
+    raise TypeError(f"not a form class: {c!r}")
+
+
+def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> bool:
+    """True iff both forms land in the same canonical class.
+
+    For indefinite forms this is exactly integral isometry; for definite
+    forms it is isometry under the smooth-realizability hypothesis, and
+    abstract definite input is refused (never silently compared).
+    """
+    return classify_form(invariants(a), mode) == classify_form(invariants(b), mode)
 
 
 # cap on n^2 * H * isqrt(H), H the Hadamard bit bound of a rank-n form (see _eliminate):

@@ -13,9 +13,8 @@ constraint raise InvalidSurfaceError rather than being classified.
 from functools import lru_cache
 
 from . import Record
-from .classification import ClassificationMode, FormClass, classify_form
+from .classification import ClassificationMode, FormClass, FormInvariants, Parity, classify_form
 from .errors import InvalidSurfaceError, int_text, text_repr
-from .lattice import FormInvariants, Parity
 
 # convenience spellings accepted by name lookup
 _ALIASES = {"BlP2": "Bl1P2", "K3": "deg4", "Quadric": "deg2", "Cubic": "deg3"}

@@ -19,25 +19,25 @@ from oracles import (
 )
 from strategies import random_unimodular_transform
 from surftop.classification import (
-    E8,
-    HYPERBOLIC,
-    MINUS_E8,
     ClassificationMode,
     DefiniteDiagonal,
+    FormInvariants,
     IndefiniteEven,
     IndefiniteOdd,
-    canonical_gram,
+    Parity,
     classify_form,
-    forms_isomorphic,
 )
 from surftop.errors import InconsistentEvenSignatureError
 from surftop.lattice import (
-    FormInvariants,
+    E8,
+    HYPERBOLIC,
+    MINUS_E8,
     GramMatrix,
-    Parity,
     block_diag,
+    canonical_gram,
     determinant,
     diag,
+    forms_isomorphic,
     invariants,
 )
 from surftop.surfaces import (

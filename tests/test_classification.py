@@ -5,18 +5,15 @@ from hypothesis import strategies as st
 from oracles import brute_force_isometry
 from strategies import random_unimodular_transform
 from surftop.classification import (
-    E8,
-    HYPERBOLIC,
-    MINUS_E8,
     ClassificationMode,
     DefiniteDiagonal,
+    FormInvariants,
     IndefiniteEven,
     IndefiniteOdd,
-    canonical_gram,
+    Parity,
     class_to_dict,
     classify_form,
     describe,
-    forms_isomorphic,
 )
 from surftop.errors import (
     DefiniteEvenUnrealizableError,
@@ -27,11 +24,14 @@ from surftop.errors import (
     NotUnimodularError,
 )
 from surftop.lattice import (
-    FormInvariants,
+    E8,
+    HYPERBOLIC,
+    MINUS_E8,
     GramMatrix,
-    Parity,
+    canonical_gram,
     determinant,
     diag,
+    forms_isomorphic,
     invariants,
     parity,
 )

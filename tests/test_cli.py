@@ -1,12 +1,13 @@
 import json
+import os
 import time
 
 import pytest
 
-from surftop import surfaces
+from surftop import cli, surfaces
 from surftop.cli import _machine, main, parse_args
-from surftop.classification import E8, IndefiniteOdd
-from surftop.lattice import Parity
+from surftop.classification import IndefiniteOdd, Parity
+from surftop.lattice import E8
 
 
 def write_gram(tmp_path, name, obj):
@@ -114,6 +115,28 @@ class TestClassifyCommand:
         path = write_gram(tmp_path, "big.json", obj)
         assert main(["classify", "--gram", path]) == 1
         assert capsys.readouterr().err.startswith("NotUnimodular")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_refused_at_the_read_cap(self, capsys):
+        start = time.perf_counter()
+        assert main(["classify", "--gram", "/dev/zero"]) == 1
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidInput: ")
+        assert f"cap of {cli.MAX_GRAM_CHARS} characters" in err
+
+    def test_file_of_the_cap_parses_and_one_more_character_is_refused(self, tmp_path, capsys, monkeypatch):
+        text = json.dumps(H_OBJ) + "  "  # JSON allows the trailing whitespace
+        monkeypatch.setattr(cli, "MAX_GRAM_CHARS", len(text))
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        assert main(["classify", "--gram", str(path)]) == 0
+        assert "class: H" in capsys.readouterr().out
+        path.write_text(text + " ")
+        assert main(["classify", "--gram", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"InvalidInput: {path}: file is longer than the cap of {len(text)} characters\n"
+        )
 
 
 class TestSurfaceCommand:

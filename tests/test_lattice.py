@@ -19,12 +19,13 @@ from strategies import (
     random_unimodular_transform,
 )
 from surftop import lattice
-from surftop.classification import E8, HYPERBOLIC, MINUS_E8
+from surftop.classification import FormInvariants, Parity
 from surftop.lattice import (
+    E8,
+    HYPERBOLIC,
     MAX_ELIMINATION_WORK,
-    FormInvariants,
+    MINUS_E8,
     GramMatrix,
-    Parity,
     block_diag,
     determinant,
     diag,

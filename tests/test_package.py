@@ -12,14 +12,13 @@ from surftop import classification, errors, lattice, surfaces, zeta
 # written by hand from the re-export blocks the package had before it loaded lazily
 PUBLIC = {
     classification: {
-        "E8", "HYPERBOLIC", "ClassificationMode", "DefiniteDiagonal", "FormClass",
-        "IndefiniteEven", "IndefiniteOdd", "canonical_gram", "classify_form", "describe",
-        "forms_isomorphic",
+        "ClassificationMode", "DefiniteDiagonal", "FormClass", "FormInvariants",
+        "IndefiniteEven", "IndefiniteOdd", "Parity", "classify_form", "describe",
     },
     errors: {"DomainError"},
     lattice: {
-        "FormInvariants", "GramMatrix", "Parity", "block_diag", "determinant", "diag",
-        "invariants", "parity",
+        "E8", "HYPERBOLIC", "GramMatrix", "block_diag", "canonical_gram", "determinant", "diag",
+        "forms_isomorphic", "invariants", "parity",
     },
     surfaces: {
         "SurfaceData", "SurfaceInvariants", "blow_up", "catalog", "catalog_lookup",
@@ -78,7 +77,7 @@ def test_access_reads_the_module_each_time(monkeypatch):
 
 def test_importing_one_layer_loads_no_other():
     code = (
-        "import sys, surftop.lattice; "
+        "import sys, surftop.classification; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'surftop')))"
     )
     src = str(Path(surftop.__file__).parents[1])
@@ -89,7 +88,7 @@ def test_importing_one_layer_loads_no_other():
         text=True,
         check=True,
     ).stdout
-    assert out.split() == ["surftop", "surftop.lattice"]
+    assert out.split() == ["surftop", "surftop.classification", "surftop.errors"]
 
 
 def test_counting_the_counterexample_loads_no_other_layer():
@@ -153,12 +152,17 @@ def test_count_loads_only_zeta(tmp_path):
     assert stdlib == []
 
 
+SURFACE_LAYERS = ["surftop", "surftop.classification", "surftop.cli", "surftop.errors", "surftop.surfaces"]
+
+
 def test_surface_loads_no_zeta(tmp_path):
     layers, _ = _loaded_by(["surface", "--name", "K3"], tmp_path)
-    assert layers == [
-        "surftop", "surftop.classification", "surftop.cli", "surftop.errors",
-        "surftop.lattice", "surftop.surfaces",
-    ]
+    assert layers == SURFACE_LAYERS
+
+
+def test_compare_loads_no_zeta(tmp_path):
+    layers, _ = _loaded_by(["compare", "--a", "K3", "--b", "Bl1P2"], tmp_path)
+    assert layers == SURFACE_LAYERS
 
 
 def test_classify_loads_no_zeta(tmp_path):
@@ -169,11 +173,11 @@ def test_classify_loads_no_zeta(tmp_path):
     ]
 
 
-def test_counterexample_loads_every_layer(tmp_path):
+def test_counterexample_loads_every_layer_but_lattice(tmp_path):
     layers, _ = _loaded_by(["counterexample", "--primes", "2", "--degrees", "1"], tmp_path)
     assert layers == [
         "surftop", "surftop.classification", "surftop.cli", "surftop.errors",
-        "surftop.lattice", "surftop.surfaces", "surftop.zeta",
+        "surftop.surfaces", "surftop.zeta",
     ]
 
 

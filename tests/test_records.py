@@ -13,15 +13,14 @@ import re
 import pytest
 
 from surftop.classification import (
-    E8,
-    HYPERBOLIC,
     ClassificationMode,
     DefiniteDiagonal,
+    FormInvariants,
     IndefiniteEven,
     IndefiniteOdd,
-    forms_isomorphic,
+    Parity,
 )
-from surftop.lattice import FormInvariants, GramMatrix, Parity, block_diag, diag, invariants
+from surftop.lattice import E8, HYPERBOLIC, GramMatrix, block_diag, diag, forms_isomorphic, invariants
 from surftop.surfaces import SurfaceData, SurfaceInvariants
 from surftop.zeta import PointCount
 

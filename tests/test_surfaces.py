@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surftop.classification import DefiniteDiagonal, IndefiniteEven, IndefiniteOdd
+from surftop.classification import DefiniteDiagonal, IndefiniteEven, IndefiniteOdd, Parity
 from surftop.errors import InvalidSurfaceError
-from surftop.lattice import Parity
 from surftop.surfaces import (
     SurfaceData,
     blow_up,
