@@ -18,8 +18,7 @@ _LAYERS = {
     "classification": "ClassificationMode DefiniteDiagonal FormClass FormInvariants IndefiniteEven "
                       "IndefiniteOdd Parity classify_form describe",
     "errors": "DomainError",
-    "lattice": "E8 HYPERBOLIC GramMatrix block_diag canonical_gram determinant diag forms_isomorphic "
-               "invariants parity",
+    "lattice": "GramMatrix determinant invariants parity",
     "surfaces": "SurfaceData SurfaceInvariants blow_up catalog catalog_lookup compute_invariants "
                 "homeomorphic hypersurface intersection_form_class",
     "zeta": "FiniteField PointCount build_field count_blowup_p2 count_hypersurface_p3 count_p1xp1 "

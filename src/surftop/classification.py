@@ -5,7 +5,7 @@ one of two canonical shapes: a diagonal odd form or a sum of E8 blocks
 and hyperbolic planes. Definite forms are classified only under the
 smooth four-manifold hypothesis, which forces +/- the standard diagonal
 form; in abstract-lattice mode they are refused rather than guessed at.
-No other layer is imported: the Gram matrices realizing a class are in `lattice`.
+No other layer is imported, and no Gram matrix is built from a class.
 """
 
 from enum import Enum

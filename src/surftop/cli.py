@@ -34,7 +34,10 @@ Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
 digits per integer. At most MAX_GRAM_CHARS (2**24) characters are read;
 a longer file, or one that cannot be read or parsed, is refused as
-InvalidInput.
+InvalidInput. Opening the file never waits (O_NONBLOCK, where the
+platform has it): a FIFO that no writer opens within GRAM_WAIT_S (3)
+seconds is refused as InvalidInput. A writer that opens the FIFO and
+never writes still blocks the read, as it would block `cat`.
 """
 
 import os
@@ -48,6 +51,8 @@ from .errors import DomainError, InvalidInputError, text_repr
 
 # about 20 times the largest compact Gram file whose elimination MAX_ELIMINATION_WORK admits
 MAX_GRAM_CHARS = 2**24
+# seconds a Gram file waits for a writer to open it (a FIFO) before it is refused
+GRAM_WAIT_S = 3
 
 
 def _plain(obj):
@@ -70,8 +75,7 @@ def _load_gram(path: str):
     import json
     from .lattice import GramMatrix
     try:
-        with open(path, "r") as fh:
-            text = fh.read(MAX_GRAM_CHARS + 1)  # /dev/zero and endless pipes end here
+        text = _read_text(path)
         if len(text) > MAX_GRAM_CHARS:
             raise ValueError(f"file is longer than the cap of {MAX_GRAM_CHARS} characters")
         return GramMatrix.from_dict(json.loads(text))
@@ -81,6 +85,30 @@ def _load_gram(path: str):
         # a file over the cap, malformed JSON, bad UTF-8, an integer over the digit
         # limit, nesting deeper than the parser's recursion limit, or a bad Gram object
         raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    """At most MAX_GRAM_CHARS + 1 characters of path, read in text mode as
+    open(path) reads them, so the cap counts characters. The open does not
+    wait for a FIFO's writer; the read waits up to GRAM_WAIT_S for one."""
+    nonblock = getattr(os, "O_NONBLOCK", 0)
+    # a directory opens too, and then open() refuses it by its path
+    with open(path, opener=lambda name, flags: os.open(name, flags | nonblock)) as fh:
+        head = b""
+        if nonblock:
+            import select
+            poll = select.poll()
+            poll.register(fh, select.POLLIN)
+            if not poll.poll(GRAM_WAIT_S * 1000):
+                try:
+                    head = os.read(fh.fileno(), 1)  # data here: a writer came at the last instant
+                except BlockingIOError:  # a writer holds the pipe open and has not written yet
+                    pass
+                else:
+                    if not head:  # end of file: no writer holds the pipe open
+                        raise ValueError(f"no writer opened it within {GRAM_WAIT_S} s")
+            os.set_blocking(fh.fileno(), True)
+        return head.decode(fh.encoding) + fh.read(MAX_GRAM_CHARS + 1 - len(head))  # /dev/zero ends here
 
 
 def _catalog_surface(name: str):

@@ -4,14 +4,13 @@ This is the one layer that knows Gram matrices. A form is carried by its
 Gram matrix in an integral basis; determinant, signature and parity are
 basis invariants, computed exactly over the integers (no rationals, no
 floats), the first two in one fraction-free symmetric elimination pass.
-E8, H and canonical_gram realize the classes of `classification`.
+It maps a form to its invariants and never a class back to a form.
 """
 
 from math import isqrt
 
 from . import Record
-from .classification import (ClassificationMode, DefiniteDiagonal, FormClass, FormInvariants,
-                             IndefiniteEven, IndefiniteOdd, Parity, classify_form)
+from .classification import FormInvariants, Parity
 from .errors import int_text
 
 
@@ -56,45 +55,6 @@ class GramMatrix(Record):
         if any(not isinstance(row, list) for row in entries):
             raise ValueError("'entries' rows must be lists")
         return cls(entries)
-
-
-def diag(*values: int) -> GramMatrix:
-    """Diagonal form <v1> + <v2> + ... as a Gram matrix."""
-    n = len(values)
-    return GramMatrix(
-        tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n))
-    )
-
-
-def block_diag(*blocks: GramMatrix) -> GramMatrix:
-    """Orthogonal direct sum of Gram matrices."""
-    n = sum(b.n for b in blocks)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[off + i][off + j] = b.entries[i][j]
-        off += b.n
-    return GramMatrix(rows)
-
-
-# Standard even positive-definite rank-8 form: Gram matrix of the E8 root
-# basis (chain 0-1-2-3-4-5-6 with node 7 hanging off node 4), determinant 1.
-E8 = GramMatrix([
-    [2, -1, 0, 0, 0, 0, 0, 0],
-    [-1, 2, -1, 0, 0, 0, 0, 0],
-    [0, -1, 2, -1, 0, 0, 0, 0],
-    [0, 0, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, -1],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, 0],
-    [0, 0, 0, 0, -1, 0, 0, 2],
-])
-
-MINUS_E8 = GramMatrix([[-v for v in row] for row in E8.entries])
-
-HYPERBOLIC = GramMatrix([[0, 1], [1, 0]])
 
 
 def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
@@ -186,32 +146,6 @@ def invariants(m: GramMatrix) -> FormInvariants:
         # the pass above is reused; perfbench samples traced determinant() calls
         determinant=determinant(m),
     )
-
-
-def canonical_gram(c: FormClass) -> GramMatrix:
-    """Block-diagonal Gram matrix realizing the class.
-
-    Block order is fixed: positive blocks first, then negative, then
-    hyperbolic planes, so output is deterministic and byte-stable.
-    """
-    if isinstance(c, IndefiniteOdd):
-        return diag(*([1] * c.n_plus + [-1] * c.n_minus))
-    if isinstance(c, IndefiniteEven):
-        e8_blocks = [E8 if c.e8_signed_count > 0 else MINUS_E8] * abs(c.e8_signed_count)
-        return block_diag(*e8_blocks, *([HYPERBOLIC] * c.h_count))
-    if isinstance(c, DefiniteDiagonal):
-        return diag(*([c.sign] * c.rank))
-    raise TypeError(f"not a form class: {c!r}")
-
-
-def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> bool:
-    """True iff both forms land in the same canonical class.
-
-    For indefinite forms this is exactly integral isometry; for definite
-    forms it is isometry under the smooth-realizability hypothesis, and
-    abstract definite input is refused (never silently compared).
-    """
-    return classify_form(invariants(a), mode) == classify_form(invariants(b), mode)
 
 
 # cap on n^2 * H * isqrt(H), H the Hadamard bit bound of a rank-n form (see _eliminate):

@@ -21,7 +21,8 @@ only the cyclotomic numbers of those cosets (Berndt, Evans and Williams,
 Gauss and Jacobi Sums, 1998, ch. 2), and nothing is enumerated. A
 hypersurface in P3 must be diagonal, a sum of terms c_i x_i^d. Both
 surfaces of the counterexample, P1 x P1 and Bl1P2, are families of
-lines in P2 over P1, linear in x for each y: the case d = 1.
+lines in P2 over P1, linear in x for each y: the case d = 1. The q + 1
+points [1:y] and [0:1] of that P1 are the only points any count visits.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
 at the cap a shipped model takes under a second. FiniteField refuses
@@ -157,14 +158,6 @@ class PointCount(Record):
     count: int
 
 
-def projective_points(field: FiniteField, n: int):
-    """Normalized representatives of P^n: first nonzero coordinate is 1."""
-    for pivot in range(n + 1):
-        prefix = (field.zero,) * pivot + (field.one,)
-        for tail in itertools.product(field.elements(), repeat=n - pivot):
-            yield prefix + tail
-
-
 def _classes(field: FiniteField, subgroup: set):
     """Class labels of GF(q) and the cyclotomic numbers of a unit subgroup.
 
@@ -212,7 +205,8 @@ def _line_family(field: FiniteField, coeffs) -> int:
     """
     _, table = _classes(field, {x for x in field.elements() if x != field.zero})
     term = {False: [field.q, 0], True: [1, 1]}
-    patterns = Counter(tuple(c != field.zero for c in coeffs(y)) for y in projective_points(field, 1))
+    p1 = [*((field.one, y) for y in field.elements()), (field.zero, field.one)]
+    patterns = Counter(tuple(c != field.zero for c in coeffs(y)) for y in p1)
     return sum(m * _class_zeros(field, table, [term[unit] for unit in units])
                for units, m in patterns.items())
 

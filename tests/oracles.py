@@ -24,6 +24,13 @@ weil_bound_check holds a count of a smooth surface to the Weil bound.
 The facts about the shipped models that only the tests read (which
 catalog surface a model carries, and where it has good reduction) live
 here too.
+
+The builders at the end are not oracles: diag, block_diag, E8,
+MINUS_E8 and HYPERBOLIC build Gram matrices, canonical_gram realizes a
+class as one, forms_isomorphic compares two forms through the
+production classification, and projective_points enumerates P^n. No
+command needs them, so they live with the tests that build inputs and
+round-trip classes with them.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ import random
 from collections import Counter
 from functools import lru_cache
 
-from surftop.lattice import GramMatrix, determinant
-from surftop.zeta import MODELS, PointCount
+from surftop.classification import (ClassificationMode, DefiniteDiagonal, FormClass, IndefiniteEven,
+                                    IndefiniteOdd, classify_form)
+from surftop.lattice import GramMatrix, determinant, invariants
+from surftop.zeta import MODELS, FiniteField, PointCount
 
 
 def cofactor_determinant(rows) -> int:
@@ -365,3 +374,76 @@ def weil_bound_check(c: PointCount, b2: int) -> bool:
     while b0 and b4 contribute 1 and q^2.
     """
     return abs(c.count - 1 - c.q * c.q) <= b2 * c.q
+
+
+def diag(*values: int) -> GramMatrix:
+    """Diagonal form <v1> + <v2> + ... as a Gram matrix."""
+    n = len(values)
+    return GramMatrix(
+        tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n))
+    )
+
+
+def block_diag(*blocks: GramMatrix) -> GramMatrix:
+    """Orthogonal direct sum of Gram matrices."""
+    n = sum(b.n for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i in range(b.n):
+            for j in range(b.n):
+                rows[off + i][off + j] = b.entries[i][j]
+        off += b.n
+    return GramMatrix(rows)
+
+
+# Standard even positive-definite rank-8 form: Gram matrix of the E8 root
+# basis (chain 0-1-2-3-4-5-6 with node 7 hanging off node 4), determinant 1.
+E8 = GramMatrix([
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, 0],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, -1],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, 0, 0, -1, 0, 0, 2],
+])
+
+MINUS_E8 = GramMatrix([[-v for v in row] for row in E8.entries])
+
+HYPERBOLIC = GramMatrix([[0, 1], [1, 0]])
+
+
+def canonical_gram(c: FormClass) -> GramMatrix:
+    """Block-diagonal Gram matrix realizing the class.
+
+    Block order is fixed: positive blocks first, then negative, then
+    hyperbolic planes, so output is deterministic and byte-stable.
+    """
+    if isinstance(c, IndefiniteOdd):
+        return diag(*([1] * c.n_plus + [-1] * c.n_minus))
+    if isinstance(c, IndefiniteEven):
+        e8_blocks = [E8 if c.e8_signed_count > 0 else MINUS_E8] * abs(c.e8_signed_count)
+        return block_diag(*e8_blocks, *([HYPERBOLIC] * c.h_count))
+    if isinstance(c, DefiniteDiagonal):
+        return diag(*([c.sign] * c.rank))
+    raise TypeError(f"not a form class: {c!r}")
+
+
+def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> bool:
+    """True iff both forms land in the same canonical class.
+
+    For indefinite forms this is exactly integral isometry; for definite
+    forms it is isometry under the smooth-realizability hypothesis, and
+    abstract definite input is refused (never silently compared).
+    """
+    return classify_form(invariants(a), mode) == classify_form(invariants(b), mode)
+
+
+def projective_points(field: FiniteField, n: int):
+    """Normalized representatives of P^n: first nonzero coordinate is 1."""
+    for pivot in range(n + 1):
+        prefix = (field.zero,) * pivot + (field.one,)
+        for tail in itertools.product(field.elements(), repeat=n - pivot):
+            yield prefix + tail

@@ -12,7 +12,13 @@ import time
 from pathlib import Path
 
 from oracles import (
+    E8,
+    HYPERBOLIC,
+    MINUS_E8,
+    block_diag,
     brute_force_isometry,
+    canonical_gram,
+    forms_isomorphic,
     model_has_good_reduction,
     model_surface_name,
     weil_bound_check,
@@ -28,18 +34,7 @@ from surftop.classification import (
     classify_form,
 )
 from surftop.errors import InconsistentEvenSignatureError
-from surftop.lattice import (
-    E8,
-    HYPERBOLIC,
-    MINUS_E8,
-    GramMatrix,
-    block_diag,
-    canonical_gram,
-    determinant,
-    diag,
-    forms_isomorphic,
-    invariants,
-)
+from surftop.lattice import GramMatrix, determinant, invariants
 from surftop.surfaces import (
     blow_up,
     catalog_lookup,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_isometry
+from oracles import E8, HYPERBOLIC, MINUS_E8, brute_force_isometry, canonical_gram, diag, forms_isomorphic
 from strategies import random_unimodular_transform
 from surftop.classification import (
     ClassificationMode,
@@ -23,18 +23,7 @@ from surftop.errors import (
     InconsistentEvenSignatureError,
     NotUnimodularError,
 )
-from surftop.lattice import (
-    E8,
-    HYPERBOLIC,
-    MINUS_E8,
-    GramMatrix,
-    canonical_gram,
-    determinant,
-    diag,
-    forms_isomorphic,
-    invariants,
-    parity,
-)
+from surftop.lattice import GramMatrix, determinant, invariants, parity
 
 ABSTRACT = ClassificationMode.ABSTRACT_LATTICE
 SMOOTH = ClassificationMode.SMOOTH_FOUR_MANIFOLD

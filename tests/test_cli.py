@@ -1,13 +1,19 @@
 import json
 import os
+import select
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import surftop
+from oracles import E8
 from surftop import cli, surfaces
 from surftop.cli import _machine, main, parse_args
 from surftop.classification import IndefiniteOdd, Parity
-from surftop.lattice import E8
 
 
 def write_gram(tmp_path, name, obj):
@@ -137,6 +143,99 @@ class TestClassifyCommand:
         assert capsys.readouterr().err == (
             f"InvalidInput: {path}: file is longer than the cap of {len(text)} characters\n"
         )
+
+
+class TestGramFileThatWaits:
+    """Opening a Gram file never waits: a FIFO is polled for GRAM_WAIT_S seconds."""
+
+    needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+
+    @needs_fifo
+    def test_fifo_with_no_writer_refused_after_the_wait(self, tmp_path):
+        fifo = tmp_path / "h.json"
+        os.mkfifo(fifo)
+        start = time.perf_counter()
+        proc = subprocess.run(  # a hang fails here, after the timeout, instead of stalling the suite
+            [sys.executable, "-B", "-m", "surftop.cli", "classify", "--gram", str(fifo)],
+            env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": ""},
+            capture_output=True, text=True, timeout=cli.GRAM_WAIT_S + 2,
+        )
+        assert time.perf_counter() - start < cli.GRAM_WAIT_S + 2
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"InvalidInput: {fifo}: no writer opened it within {cli.GRAM_WAIT_S} s\n"
+
+    @needs_fifo
+    def test_fifo_whose_writer_opens_late_is_read(self, tmp_path, capsys):
+        fifo = tmp_path / "h.json"
+        os.mkfifo(fifo)
+
+        def write():
+            time.sleep(0.2)
+            with open(fifo, "w") as fh:
+                fh.write(json.dumps(H_OBJ))
+
+        writer = threading.Thread(target=write, daemon=True)  # a daemon: open() waits for a reader
+        writer.start()
+        start = time.perf_counter()
+        assert main(["classify", "--gram", str(fifo)]) == 0
+        assert time.perf_counter() - start < cli.GRAM_WAIT_S
+        writer.join(5)
+        assert not writer.is_alive()
+        assert "class: H" in capsys.readouterr().out
+
+    @needs_fifo
+    def test_fifo_whose_writer_is_silent_past_the_wait_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GRAM_WAIT_S", 0.1)
+        fifo = tmp_path / "h.json"
+        os.mkfifo(fifo)
+        writer_in = threading.Event()
+
+        def write():
+            with open(fifo, "w") as fh:  # returns once the reader has opened the FIFO
+                writer_in.set()
+                time.sleep(0.3)
+                fh.write(json.dumps(H_OBJ))
+
+        class AfterTheWriterOpens:  # so the read after the wait finds the pipe held
+            def __init__(self, real=select.poll):
+                self.real = real()
+                self.register = self.real.register
+
+            def poll(self, timeout):
+                writer_in.wait(5)
+                return self.real.poll(timeout)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        monkeypatch.setattr(select, "poll", AfterTheWriterOpens)
+        assert main(["classify", "--gram", str(fifo)]) == 0
+        writer.join(5)
+        assert not writer.is_alive()
+        assert "class: H" in capsys.readouterr().out
+
+    def test_data_after_the_wait_is_kept(self, tmp_path, capsys, monkeypatch):
+        class NoEvents:  # the wait runs out just before the data comes
+            def register(self, *args):
+                pass
+
+            def poll(self, timeout):
+                return []
+
+        monkeypatch.setattr(select, "poll", NoEvents, raising=False)
+        path = write_gram(tmp_path, "h.json", H_OBJ)
+        assert main(["classify", "--gram", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"]["h_count"] == 1
+
+    def test_directory_refused(self, tmp_path, capsys):
+        assert main(["classify", "--gram", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"InvalidInput: cannot read {tmp_path}: ")
+        assert err.count(str(tmp_path)) == 2  # named by its path, not by a descriptor
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_refused(self, capsys):
+        assert main(["classify", "--gram", "/dev/null"]) == 1
+        assert capsys.readouterr().err == "InvalidInput: /dev/null: Expecting value: line 1 column 1 (char 0)\n"
 
 
 class TestSurfaceCommand:

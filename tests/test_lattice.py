@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    E8,
+    HYPERBOLIC,
+    MINUS_E8,
+    block_diag,
     brute_force_isometry,
     cofactor_determinant,
+    diag,
     full_copy_unimodular_mix,
     parity_by_enumeration,
     signature_by_charpoly,
@@ -20,18 +25,7 @@ from strategies import (
 )
 from surftop import lattice
 from surftop.classification import FormInvariants, Parity
-from surftop.lattice import (
-    E8,
-    HYPERBOLIC,
-    MAX_ELIMINATION_WORK,
-    MINUS_E8,
-    GramMatrix,
-    block_diag,
-    determinant,
-    diag,
-    invariants,
-    parity,
-)
+from surftop.lattice import MAX_ELIMINATION_WORK, GramMatrix, determinant, invariants, parity
 
 H = HYPERBOLIC
 

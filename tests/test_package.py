@@ -1,5 +1,6 @@
 """The `surftop` package namespace: its public names and their lazy loading."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,7 @@ PUBLIC = {
         "IndefiniteEven", "IndefiniteOdd", "Parity", "classify_form", "describe",
     },
     errors: {"DomainError"},
-    lattice: {
-        "E8", "HYPERBOLIC", "GramMatrix", "block_diag", "canonical_gram", "determinant", "diag",
-        "forms_isomorphic", "invariants", "parity",
-    },
+    lattice: {"GramMatrix", "determinant", "invariants", "parity"},
     surfaces: {
         "SurfaceData", "SurfaceInvariants", "blow_up", "catalog", "catalog_lookup",
         "compute_invariants", "homeomorphic", "hypersurface", "intersection_form_class",
@@ -32,10 +30,18 @@ PUBLIC = {
 OWNER = {name: module for module, names in PUBLIC.items() for name in names}
 
 
-def test_all_lists_the_38_public_names():
-    assert len(OWNER) == 38
-    assert len(surftop.__all__) == 38
+def test_all_lists_the_32_public_names():
+    assert len(OWNER) == 32
+    assert len(surftop.__all__) == 32
     assert set(surftop.__all__) == set(OWNER)
+
+
+def test_lattice_takes_only_the_invariant_record_and_parity_from_classification():
+    tree = ast.parse(Path(lattice.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "classification" and node.level == 1
+             for alias in node.names}
+    assert names == {"FormInvariants", "Parity"}
 
 
 @pytest.mark.parametrize("name", sorted(OWNER))

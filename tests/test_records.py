@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from oracles import E8, HYPERBOLIC, block_diag, diag, forms_isomorphic
 from surftop.classification import (
     ClassificationMode,
     DefiniteDiagonal,
@@ -20,7 +21,7 @@ from surftop.classification import (
     IndefiniteOdd,
     Parity,
 )
-from surftop.lattice import E8, HYPERBOLIC, GramMatrix, block_diag, diag, forms_isomorphic, invariants
+from surftop.lattice import GramMatrix, invariants
 from surftop.surfaces import SurfaceData, SurfaceInvariants
 from surftop.zeta import PointCount
 

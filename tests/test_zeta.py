@@ -17,6 +17,7 @@ from oracles import (
     naive_blowup_count,
     naive_p1xp1_count,
     orbit_hist,
+    projective_points,
     projective_zeros,
     weil_bound_check,
 )
@@ -36,7 +37,6 @@ from surftop.zeta import (
     counterexample_report,
     fermat_form,
     is_prime,
-    projective_points,
 )
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
@@ -637,13 +637,26 @@ class TestDiagonalOnly:
             count_hypersurface_p3({(1, 1, 0, 0): 1, (3, 0, 0, 0): 1}, build_field(5, 1))
 
     def test_count_enumerates_nothing(self, monkeypatch):
-        def reached(*args):
-            raise self.Reached
+        # P3 and P1 x P1 have over q^2 points: enumerating either takes q^2 field operations
+        calls = Counter()
 
-        monkeypatch.setattr(zeta, "projective_points", reached)
-        f = build_field(7, 3)
-        b2 = compute_invariants(catalog_lookup(model_surface_name("fermat6"))).b2
-        assert weil_bound_check(count_variety("fermat6", f), b2)
+        def spy(name, method):
+            def counted(field, *args):
+                calls[name] += 1
+                return method(field, *args)
+            return counted
+
+        for name in ("mul", "sub"):
+            monkeypatch.setattr(FiniteField, name, spy(name, getattr(FiniteField, name)))
+        for p, k in [(5, 3), (331, 1), (7, 3)]:
+            f = build_field(p, k)
+            for variety in MODELS:
+                calls.clear()
+                count = count_variety(variety, f)
+                for name in ("mul", "sub"):
+                    assert 0 < calls[name] <= 8 * f.q, (variety, f.q, name, calls[name])
+                b2 = compute_invariants(catalog_lookup(model_surface_name(variety))).b2
+                assert weil_bound_check(count, b2) or not model_has_good_reduction(variety, p)
 
 
 class TestFormValidation:
