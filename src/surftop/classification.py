@@ -64,14 +64,6 @@ class IndefiniteOdd(Record):
         if self.n_plus < 1 or self.n_minus < 1:
             raise ValueError("indefinite odd form needs n_plus >= 1 and n_minus >= 1")
 
-    @property
-    def rank(self) -> int:
-        return self.n_plus + self.n_minus
-
-    @property
-    def signature(self) -> int:
-        return self.n_plus - self.n_minus
-
 
 class IndefiniteEven(Record):
     """e8_signed_count copies of (sign) E8 plus h_count hyperbolic planes."""
@@ -82,14 +74,6 @@ class IndefiniteEven(Record):
     def __post_init__(self):
         if self.h_count < 1:
             raise ValueError("indefinite even form needs at least one hyperbolic plane")
-
-    @property
-    def rank(self) -> int:
-        return 8 * abs(self.e8_signed_count) + 2 * self.h_count
-
-    @property
-    def signature(self) -> int:
-        return 8 * self.e8_signed_count
 
 
 class DefiniteDiagonal(Record):
@@ -103,10 +87,6 @@ class DefiniteDiagonal(Record):
             raise ValueError("sign must be +1 or -1")
         if self.rank < 1:
             raise ValueError("definite form needs rank >= 1")
-
-    @property
-    def signature(self) -> int:
-        return self.sign * self.rank
 
 
 FormClass = IndefiniteOdd | IndefiniteEven | DefiniteDiagonal

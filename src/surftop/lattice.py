@@ -38,9 +38,6 @@ class GramMatrix(Record):
     def n(self) -> int:
         return len(self.entries)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "entries": [list(row) for row in self.entries]}
-
     @classmethod
     def from_dict(cls, obj) -> "GramMatrix":
         if not isinstance(obj, dict):

@@ -12,17 +12,15 @@ Every count is an exact count of solutions; closed forms such as
 implementation, and each is of a diagonal equation c_1 x_1^d + ... +
 c_n x_n^d = 0 (Weil, "Numbers of solutions of equations in finite
 fields", Bull. AMS 55 (1949), sections 1-2): its affine zeros are the
-weight at 0 of the convolution of its terms' value histograms. The term
-c x^d takes the value 0 once and each value of the coset c H of the
-d-th powers H in GF(q)^* e = (q - 1) / |H| = gcd(d, q - 1) times, so
-these histograms, and their convolutions, are class functions: constant
-on {0} and on each of the e cosets of H. So each convolution step reads
-only the cyclotomic numbers of those cosets (Berndt, Evans and Williams,
-Gauss and Jacobi Sums, 1998, ch. 2), and nothing is enumerated. A
-hypersurface in P3 must be diagonal, a sum of terms c_i x_i^d. Both
-surfaces of the counterexample, P1 x P1 and Bl1P2, are families of
-lines in P2 over P1, linear in x for each y: the case d = 1. The q + 1
-points [1:y] and [0:1] of that P1 are the only points any count visits.
+weight at 0 of the convolution of its terms' value histograms. Each
+histogram is a class function, constant on {0} and on each coset of
+the d-th powers H, a subgroup of index e = gcd(d, q - 1) in GF(q)^*:
+for c = 0 the term c x^d is q at {0}; for a unit c it is 1 at {0} and e
+at the coset c H. So each convolution step reads only the cyclotomic
+numbers of the cosets (Berndt, Evans and Williams, Gauss and Jacobi
+Sums, 1998, ch. 2), and nothing is enumerated. Both surfaces of the
+counterexample, P1 x P1 and Bl1P2, are families of lines in P2 over P1:
+rows of degree-1 coefficients, one for each point [1:y] and [0:1] of P1.
 
 The cap q <= MAX_Q = 343 bounds the work, and no argument changes it:
 at the cap a shipped model takes under a second. FiniteField refuses
@@ -31,7 +29,9 @@ modulus, so every nonzero element is a unit. Smoothness of
 user-supplied forms mod p is not verified.
 """
 
+import functools
 import itertools
+import math
 from collections import Counter
 
 from . import Record
@@ -124,18 +124,6 @@ class FiniteField:
             raw[i] = 0
         return tuple(v % p for v in raw[:k])
 
-    def pow(self, a, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
 
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     for a in range(p):
@@ -158,20 +146,28 @@ class PointCount(Record):
     count: int
 
 
-def _classes(field: FiniteField, subgroup: set):
-    """Class labels of GF(q) and the cyclotomic numbers of a unit subgroup.
+def _classes(field: FiniteField, degree: int):
+    """Class labels of GF(q) for the d-th powers H, and their cyclotomic numbers.
 
-    Class 0 is {0}; classes 1..e are the cosets of subgroup, in the order
-    field.elements() meets them. For the first element w_k of class k,
-    table[k] counts the classes (i, j) of a and w_k - a over all a: the
-    cyclotomic numbers N_k(i, j), the same for every w_k in class k.
+    GF(q)^* is cyclic, so H is both the image of x -> x^e, e = gcd(d, q - 1),
+    and the kernel of x -> x^m, m = (q - 1) / e; the shorter chain costs
+    min(e, m) - 1 products per unit. Class 0 is {0}; classes 1..e are the
+    cosets of H in the order field.elements() meets them. table[k] counts
+    the classes (i, j) of a and w_k - a over all a, for the first element
+    w_k of class k: the cyclotomic numbers N_k(i, j), the same for every
+    w_k in class k.
     """
+    units = [x for x in field.elements() if x != field.zero]
+    e = math.gcd(degree, field.q - 1)
+    m = (field.q - 1) // e
+    chain = lambda x, n: functools.reduce(field.mul, [x] * n)  # x^n in n - 1 products
+    powers = {chain(x, e) for x in units} if e <= m else {x for x in units if chain(x, m) == field.one}
     label = {field.zero: 0}
     firsts = [field.zero]
-    for x in field.elements():
+    for x in units:
         if x not in label:
             firsts.append(x)
-            for h in subgroup:
+            for h in powers:
                 label[field.mul(x, h)] = len(firsts) - 1
     table = [Counter((label[a], label[field.sub(w, a)]) for a in field.elements()) for w in firsts]
     return label, table
@@ -191,29 +187,27 @@ def _class_zeros(field: FiniteField, table, funcs) -> int:
     return (acc[0] - 1) // (field.q - 1)
 
 
-def _line_family(field: FiniteField, coeffs) -> int:
-    """Points ([x0:x1:x2], [y0:y1]) of P2 x P1 with c0 x0 + c1 x1 + c2 x2 = 0, c = coeffs(y).
+def _diagonal_zeros(field: FiniteField, degree: int, rows) -> int:
+    """Projective zeros of c_1 x_1^degree + ... + c_n x_n^degree, summed over rows c.
 
-    For each y the equation is separable in x, so its points in P2 come
-    from the class functions of its terms over the classes {0} and the
-    units (the case d = 1). The term c x takes the value 0 at all q points
-    for c = 0, and every value once for a unit c, since x -> c x permutes
-    GF(q) (Lidl and Niederreiter, Finite Fields, 1983); FiniteField
-    guarantees that every nonzero c is a unit. So the q + 1 fibres fall
-    into zero/unit patterns of c(y), the kernel counts each pattern once,
-    times its number of fibres, and the count costs O(q) field operations.
+    The class function of c x^d depends only on the class of c: x -> x^d
+    maps GF(q)^* e-to-one onto H, and for a unit c, y -> c y permutes
+    GF(q) and carries H onto c H (for d = 1: c x takes every value once;
+    Lidl and Niederreiter, Finite Fields, 1983). FiniteField guarantees
+    that every nonzero c is a unit. So each pattern of class labels among
+    the rows is counted once, times its number of rows.
     """
-    _, table = _classes(field, {x for x in field.elements() if x != field.zero})
-    term = {False: [field.q, 0], True: [1, 1]}
-    p1 = [*((field.one, y) for y in field.elements()), (field.zero, field.one)]
-    patterns = Counter(tuple(c != field.zero for c in coeffs(y)) for y in p1)
-    return sum(m * _class_zeros(field, table, [term[unit] for unit in units])
-               for units, m in patterns.items())
+    label, table = _classes(field, degree)
+    e = len(table) - 1
+    term = [[field.q] + [0] * e]  # c = 0
+    term += [[1] + [0] * (k - 1) + [e] + [0] * (e - k) for k in range(1, e + 1)]  # c in class k
+    patterns = Counter(tuple(label[c] for c in row) for row in rows)
+    return sum(m * _class_zeros(field, table, [term[k] for k in ks]) for ks, m in patterns.items())
 
 
 def count_p1xp1(field: FiniteField) -> PointCount:
     """Points of P1 x P1 on its model {x2 = 0} x P1: every fibre is the line x2 = 0."""
-    n = _line_family(field, lambda y: (field.zero, field.zero, field.one))
+    n = _diagonal_zeros(field, 1, [(field.zero, field.zero, field.one)] * (field.q + 1))
     return PointCount(variety="P1xP1", q=field.q, count=n)
 
 
@@ -221,10 +215,12 @@ def count_blowup_p2(field: FiniteField) -> PointCount:
     """Points of the blowup of P2 at [1:0:0], counted on its incidence model.
 
     The model is {([x0:x1:x2], [y0:y1]) : x1 y1 = x2 y0} inside P2 x P1:
-    the family of lines 0 x0 + y1 x1 - y0 x2 = 0.
+    the lines 0 x0 + y1 x1 - y0 x2 = 0 over y = [1:y1] and [0:1].
     """
-    n = _line_family(field, lambda y: (field.zero, y[1], field.sub(field.zero, y[0])))
-    return PointCount(variety="Bl1P2", q=field.q, count=n)
+    minus_one = field.sub(field.zero, field.one)
+    rows = [(field.zero, y, minus_one) for y in field.elements()]  # [1:y]
+    rows.append((field.zero, field.one, field.zero))  # [0:1]
+    return PointCount(variety="Bl1P2", q=field.q, count=_diagonal_zeros(field, 1, rows))
 
 
 def count_hypersurface_p3(
@@ -237,10 +233,8 @@ def count_hypersurface_p3(
     coeffs maps exponent quadruples to integer coefficients. A monomial
     in two or more variables is refused whatever p is; then the
     coefficients are reduced mod p, and a form vanishing identically mod
-    p is refused. The term c x^d has the class function that is 1 at
-    {0} and e = gcd(d, q - 1) at the class of c, and 0 elsewhere; a
-    variable with no term takes 0 at all q points. The kernel convolves
-    these, so nothing is enumerated.
+    p is refused. The four reduced coefficients, 0 for a variable with
+    no term, are one row of degree d, so nothing is enumerated.
     """
     for e, c in coeffs.items():
         if not (isinstance(e, tuple) and len(e) == 4 and all(_is_int(x) and x >= 0 for x in e)):
@@ -257,15 +251,9 @@ def count_hypersurface_p3(
     degree = sum(next(iter(reduced)))
     if degree == 0:  # a nonzero constant: the origin is not a zero
         return PointCount(variety=variety, q=field.q, count=0)
-    label, table = _classes(field, {field.pow(x, degree) for x in field.elements() if x != field.zero})
-    cosets = len(table) - 1
     # by homogeneity each variable has at most one term
-    funcs = [[field.q] + [0] * cosets for _ in range(4 - len(reduced))]
-    for c in reduced.values():
-        func = [1] + [0] * cosets
-        func[label[field.from_int(c)]] = cosets
-        funcs.append(func)
-    return PointCount(variety=variety, q=field.q, count=_class_zeros(field, table, funcs))
+    row = [field.from_int(sum(c for e, c in reduced.items() if e[i])) for i in range(4)]
+    return PointCount(variety=variety, q=field.q, count=_diagonal_zeros(field, degree, [row]))
 
 
 def fermat_form(d: int) -> dict[tuple[int, int, int, int], int]:

@@ -18,19 +18,22 @@ products. Seeded unimodular mixes are replayed by the whole-matrix loop
 that the O(n) addition step of strategies.random_unimodular_transform
 replaced.
 
-Two checks stand beside them: brute_force_isometry searches small
-integer matrices for a witness that two forms are isometric, and
-weil_bound_check holds a count of a smooth surface to the Weil bound.
+Powers are taken by power, square-and-multiply through the mul of
+whichever field it is given. Two checks stand beside them:
+brute_force_isometry searches small integer matrices for a witness
+that two forms are isometric, and weil_bound_check holds a count of a
+smooth surface to the Weil bound.
 The facts about the shipped models that only the tests read (which
 catalog surface a model carries, and where it has good reduction) live
 here too.
 
 The builders at the end are not oracles: diag, block_diag, E8,
-MINUS_E8 and HYPERBOLIC build Gram matrices, canonical_gram realizes a
-class as one, forms_isomorphic compares two forms through the
-production classification, and projective_points enumerates P^n. No
-command needs them, so they live with the tests that build inputs and
-round-trip classes with them.
+MINUS_E8 and HYPERBOLIC build Gram matrices, gram_to_dict writes one
+as the JSON object of a Gram file, canonical_gram realizes a class as
+one, forms_isomorphic compares two forms through the production
+classification, and projective_points enumerates P^n. No command needs
+them, so they live with the tests that build inputs and round-trip
+classes with them.
 """
 
 from __future__ import annotations
@@ -208,6 +211,18 @@ class OracleField:
                 for t, m in enumerate(self.modulus):
                     prod[top - self.k + t] -= c * m
         return tuple(v % self.p for v in prod[: self.k])
+
+
+def power(field, a, n: int):
+    """a^n for n >= 0 by square-and-multiply through field.mul, for any field
+    with mul and one."""
+    result = field.one
+    while n:
+        if n & 1:
+            result = field.mul(result, a)
+        a = field.mul(a, a)
+        n >>= 1
+    return result
 
 
 def naive_affine_chart_count(coeffs, field) -> int:
@@ -395,6 +410,11 @@ def block_diag(*blocks: GramMatrix) -> GramMatrix:
                 rows[off + i][off + j] = b.entries[i][j]
         off += b.n
     return GramMatrix(rows)
+
+
+def gram_to_dict(m: GramMatrix) -> dict:
+    """The JSON object of a Gram file, as GramMatrix.from_dict reads it."""
+    return {"n": m.n, "entries": [list(row) for row in m.entries]}
 
 
 # Standard even positive-definite rank-8 form: Gram matrix of the E8 root

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import surftop
-from oracles import E8
+from oracles import E8, gram_to_dict
 from surftop import cli, surfaces
 from surftop.cli import _machine, main, parse_args
 from surftop.classification import IndefiniteOdd, Parity
@@ -85,7 +85,7 @@ class TestClassifyCommand:
         assert canonical(obj) == out  # byte-identical round trip
 
     def test_e8_refused_without_smooth(self, tmp_path, capsys):
-        path = write_gram(tmp_path, "e8.json", E8.to_dict())
+        path = write_gram(tmp_path, "e8.json", gram_to_dict(E8))
         assert main(["classify", "--gram", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("DefiniteNotClassified")

@@ -14,6 +14,7 @@ from oracles import (
     cofactor_determinant,
     diag,
     full_copy_unimodular_mix,
+    gram_to_dict,
     parity_by_enumeration,
     signature_by_charpoly,
 )
@@ -75,7 +76,7 @@ class TestGramMatrix:
         assert GramMatrix(()).n == 0
 
     def test_dict_round_trip(self):
-        d = H.to_dict()
+        d = gram_to_dict(H)
         assert d == {"n": 2, "entries": [[0, 1], [1, 0]]}
         assert GramMatrix.from_dict(d) == H
 
