@@ -15,20 +15,21 @@ argparse is imported, and built from the same table, only for any other
 argv: -h, abbreviated options, `--opt=value`, `--`, usage errors. So
 help, usage errors and exit code 2 are argparse's own.
 
-Exit codes: 0 success, 1 expected domain rejections (the stable error
-name goes to stderr), 2 usage errors. A reader that closes stdout before
-the result or the help is written (`surftop ... | head -1`) ends the run
-with exit 1 and nothing on stderr, no traceback. Once stdout and stderr
-are flushed, `main()` (the program: the `surftop` script, `python -m
-surftop.cli`) ends the process with `os._exit`, skipping interpreter
-teardown; so `atexit` handlers of an embedding process do not run, and
-`coverage run -m surftop.cli` saves no data. Callers that need the code
-back call `main(argv)`, which returns it. Each runner returns the
-library's records in its payload. With --json one encoder, _machine,
-prints it in canonical form (sorted keys, no whitespace, no floats), so
-that parse + re-serialize is byte-identical; text mode serializes
-nothing. Output is plain text; nothing is colorized, so NO_COLOR needs
-no special handling.
+Exit codes: 0 success or help, 1 expected domain rejections (the stable
+error name goes to stderr; an unknown surface or model name is
+InvalidInput), 2 usage errors. A reader that closes stdout before the
+result or the help is written (`surftop ... | head -1`) ends the run
+with exit 1 and nothing on stderr, no traceback. `main(argv)` returns
+every one of these codes and raises none of them. Without argv, `main()`
+(the program: the `surftop` script, `python -m surftop.cli`) flushes
+stderr and ends the process with the code through `os._exit`, skipping
+interpreter teardown; so `atexit` handlers of an embedding process do
+not run, and `coverage run -m surftop.cli` saves no data. Each runner
+returns the library's records in its payload. With --json one encoder,
+_machine, prints it in canonical form (sorted keys, no whitespace, no
+floats), so that parse + re-serialize is byte-identical; text mode
+serializes nothing. Output is plain text; nothing is colorized, so
+NO_COLOR needs no special handling.
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
@@ -111,24 +112,16 @@ def _read_text(path: str) -> str:
         return head.decode(fh.encoding) + fh.read(MAX_GRAM_CHARS + 1 - len(head))  # /dev/zero ends here
 
 
-def _catalog_surface(name: str):
-    from .surfaces import catalog_lookup
-    try:
-        return catalog_lookup(name)
-    except KeyError as exc:
-        raise InvalidInputError(exc.args[0]) from exc
-
-
 def _surface_spec(spec: str):
     """The SurfaceData of a catalog name or of an inline 'c1sq,c2[,spin]'."""
-    from .surfaces import SurfaceData
+    from .surfaces import SurfaceData, catalog_lookup
     parts = spec.split(",")
     if len(parts) not in (2, 3):
-        return _catalog_surface(spec)
+        return catalog_lookup(spec)
     try:
         c1_sq, c2 = int(parts[0]), int(parts[1])
     except ValueError:
-        return _catalog_surface(spec)
+        return catalog_lookup(spec)
     if parts[2:] not in ([], ["spin"]):
         raise InvalidInputError(f"bad surface spec {text_repr(spec)}: trailing part must be 'spin'")
     return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=len(parts) == 3)
@@ -275,9 +268,9 @@ def _surface(s) -> tuple[dict, list[str]]:
 
 
 def _run_surface(args) -> tuple[dict, list[str]]:
-    from .surfaces import SurfaceData
+    from .surfaces import SurfaceData, catalog_lookup
     if args.name is not None:
-        return _surface(_catalog_surface(args.name))
+        return _surface(catalog_lookup(args.name))
     return _surface(SurfaceData(name="surface", c1_sq=args.c1sq, c2=args.c2, spin=args.spin))
 
 
@@ -320,10 +313,7 @@ def _run_counterexample(args) -> tuple[dict, list[str]]:
 def _run_count(args) -> tuple[dict, list[str]]:
     from .zeta import build_field, count_variety
     field = build_field(args.p, args.k)
-    try:
-        pc = count_variety(args.variety, field)
-    except KeyError as exc:
-        raise InvalidInputError(exc.args[0]) from exc
+    pc = count_variety(args.variety, field)
     payload = {"variety": pc.variety, "p": args.p, "k": args.k, "q": pc.q, "count": pc.count}
     return payload, [f"{pc.variety} over GF({pc.q}): {pc.count} points"]
 
@@ -337,57 +327,39 @@ _RUNNERS = {
 }
 
 
-def run(args) -> int:
-    """Dispatch a parsed command and print its result: the canonical JSON
-    payload under --json, the text lines otherwise. May raise DomainError
-    or ValueError."""
-    payload, text = _RUNNERS[args.command](args)
-    print(_machine(payload) if args.json else "\n".join(text))
-    return 0
-
-
 def _drop_stdout() -> None:
     """The reader is gone: point stdout at devnull so that no later flush
     fails again (the recipe in the `signal` docs)."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _command(argv: list[str]) -> int:
-    try:
-        # inside the try: a -h write to a reader that is gone raises here
-        code = run(parse_args(argv))
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        _drop_stdout()
-        return 1
-    except DomainError as exc:
-        print(f"{exc.name}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. Given argv, return its exit code. Without it, run
-    sys.argv[1:] as the program: flush stdout and stderr and end the process
-    with that code, without interpreter teardown. argparse's SystemExit
-    (usage errors, -h) ends the same way; any other exception is a bug and
-    propagates."""
-    if argv is not None:
-        return _command(argv)
+    """Run one command. Given argv, return its exit code: every outcome,
+    argparse's help and usage errors included, comes back as a code.
+    Without argv, run sys.argv[1:] as the program: flush stderr and end the
+    process with the code, without interpreter teardown. Any other
+    exception is a bug and propagates."""
     try:
-        code = _command(sys.argv[1:])
-    except SystemExit as exc:
-        if not isinstance(exc.code, int):
-            raise
-        code = exc.code
-    try:
+        try:
+            # a -h write to a reader that is gone raises in here too
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            payload, text = _RUNNERS[args.command](args)
+            print(_machine(payload) if args.json else "\n".join(text))
+            code = 0
+        except SystemExit as exc:  # argparse, after help (0) or a usage error (2)
+            code = exc.code
+        except DomainError as exc:
+            print(f"{exc.name}: {exc}", file=sys.stderr)
+            code = 1
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            code = 2
         sys.stdout.flush()
     except BrokenPipeError:
         _drop_stdout()
         code = 1
+    if argv is not None:
+        return code
     sys.stderr.flush()
     os._exit(code)
 

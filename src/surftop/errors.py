@@ -70,7 +70,8 @@ class ZeroFormError(DomainError):
 
 
 class InvalidInputError(DomainError):
-    """Malformed input file or object (bad JSON, wrong schema, asymmetry)."""
+    """Malformed input file or object (bad JSON, wrong schema, asymmetry),
+    or an unknown catalog surface or model name."""
 
 
 def int_text(n: int) -> str:

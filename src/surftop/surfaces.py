@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import Record
 from .classification import ClassificationMode, FormClass, FormInvariants, Parity, classify_form
-from .errors import InvalidSurfaceError, int_text, text_repr
+from .errors import InvalidInputError, InvalidSurfaceError, int_text, text_repr
 
 # convenience spellings accepted by name lookup
 _ALIASES = {"BlP2": "Bl1P2", "K3": "deg4", "Quadric": "deg2", "Cubic": "deg3"}
@@ -153,9 +153,9 @@ def catalog() -> list[SurfaceData]:
 
 
 def catalog_lookup(name: str) -> SurfaceData:
-    """Catalog entry by name (a few aliases accepted); KeyError if absent."""
+    """Catalog entry by name (a few aliases accepted); InvalidInput if absent."""
     wanted = _ALIASES.get(name, name)
     for s in _load_catalog():
         if s.name == wanted:
             return s
-    raise KeyError(f"no catalog surface named {text_repr(name)}")
+    raise InvalidInputError(f"no catalog surface named {text_repr(name)}")

@@ -35,7 +35,8 @@ import math
 from collections import Counter
 
 from . import Record
-from .errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError, int_text, text_repr
+from .errors import (InvalidInputError, NotPrimeError, UnsupportedDegreeError, ZeroFormError,
+                     int_text, text_repr)
 
 MAX_Q = 343
 
@@ -277,9 +278,9 @@ MODELS = {
 
 
 def count_variety(variety: str, field: FiniteField) -> PointCount:
-    """Count a shipped model by id; KeyError for unknown ids."""
+    """Count a shipped model by id; InvalidInput for unknown ids."""
     if variety not in MODELS:
-        raise KeyError(f"no countable model named {text_repr(variety)}")
+        raise InvalidInputError(f"no countable model named {text_repr(variety)}")
     if variety == "P1xP1":
         return count_p1xp1(field)
     if variety == "Bl1P2":

@@ -12,9 +12,9 @@ OracleField, built from p, k and the modulus alone, so a fault in the
 production field cannot show up on both sides of a comparison. Value
 distributions themselves have a slow path: orbit_hist and
 projective_zeros build and convolve histograms over every field
-element, where production convolves class functions over cyclotomic
-classes, O(q^2) field additions per step against O(e^3) integer
-products. Seeded unimodular mixes are replayed by the whole-matrix loop
+element, multiplying, adding and negating in OracleField too, where
+production convolves class functions over cyclotomic classes, O(q^2)
+field additions per step against O(e^3) integer products. Seeded unimodular mixes are replayed by the whole-matrix loop
 that the O(n) addition step of strategies.random_unimodular_transform
 replaced.
 
@@ -203,6 +203,9 @@ class OracleField:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
     def mul(self, a, b):
         prod = list(_pmul(a, b))
         for top in range(len(prod) - 1, self.k - 1, -1):
@@ -282,12 +285,14 @@ def orbit_hist(field, reps: Counter, dth: Counter) -> Counter:
     reps counts the values of g on the representatives x of P^(m-1), and
     dth counts lambda^d over the units lambda: the nonzero points of A^m
     are the lambda x, where g is lambda^d g(x), and the origin is a zero.
+    Products are OracleField's.
     """
+    mul = OracleField(field.p, field.k, field.modulus).mul
     hist = Counter({field.zero: 1 + (field.q - 1) * reps[field.zero]})
     for v, r in reps.items():
         if v != field.zero:
             for w, n in dth.items():
-                hist[field.mul(v, w)] += r * n
+                hist[mul(v, w)] += r * n
     return hist
 
 
@@ -297,21 +302,21 @@ def projective_zeros(field, hists) -> int:
     Each f_i is given as the histogram of its values over the affine space
     of its own block B_i of variables. The histograms are convolved under
     OracleField.add, smallest support first; the last one is only paired
-    against the negated partial sums, since only the weight N_aff of the
-    total at 0 is needed: the N_aff - 1 nonzero zeros lie on
-    (N_aff - 1) / (q - 1) lines through the origin.
+    against the partial sums negated by OracleField.neg, since only the
+    weight N_aff of the total at 0 is needed: the N_aff - 1 nonzero zeros
+    lie on (N_aff - 1) / (q - 1) lines through the origin.
     """
     *rest, last = sorted(hists, key=len)
-    add = OracleField(field.p, field.k, field.modulus).add
+    o = OracleField(field.p, field.k, field.modulus)
     acc = {field.zero: 1}
     for h in rest:
         nxt: dict = {}
         for a, m in acc.items():
             for b, n in h.items():
-                s = add(a, b)
+                s = o.add(a, b)
                 nxt[s] = nxt.get(s, 0) + m * n
         acc = nxt
-    n_aff = sum(m * last.get(field.sub(field.zero, a), 0) for a, m in acc.items())
+    n_aff = sum(m * last.get(o.neg(a), 0) for a, m in acc.items())
     return (n_aff - 1) // (field.q - 1)
 
 

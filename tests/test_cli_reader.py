@@ -137,10 +137,7 @@ def loads_argparse(argv: list[str], cwd: Path) -> tuple[str, str]:
         "import contextlib, io, sys, surftop.cli\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
-        "    try:\n"
-        f"        code = surftop.cli.main({argv!r})\n"
-        "    except SystemExit as exc:\n"
-        "        code = exc.code\n"
+        f"    code = surftop.cli.main({argv!r})\n"
         "print(code, 'argparse' in sys.modules)\n"
         "print(out.getvalue(), end='')"
     )

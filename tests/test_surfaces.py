@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftop.classification import DefiniteDiagonal, IndefiniteEven, IndefiniteOdd, Parity
-from surftop.errors import InvalidSurfaceError
+from surftop.errors import DomainError, InvalidInputError, InvalidSurfaceError
 from surftop.surfaces import (
     SurfaceData,
     blow_up,
@@ -152,8 +152,9 @@ class TestCatalog:
         assert catalog_lookup("K3") == catalog_lookup("deg4")
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidInputError, match="^no catalog surface named 'P3'$") as exc:
             catalog_lookup("P3")
+        assert isinstance(exc.value, DomainError) and exc.value.name == "InvalidInput"
 
     def test_every_entry_validates(self):
         for s in catalog():

@@ -23,7 +23,9 @@ from oracles import (
     weil_bound_check,
 )
 from surftop import zeta
-from surftop.errors import NotPrimeError, UnsupportedDegreeError, ZeroFormError
+from surftop.errors import (
+    DomainError, InvalidInputError, NotPrimeError, UnsupportedDegreeError, ZeroFormError,
+)
 from surftop.surfaces import compute_invariants, catalog_lookup
 from surftop.zeta import (
     MAX_Q,
@@ -234,8 +236,9 @@ class TestModels:
         assert count_variety("fermat1", f).count == 13
 
     def test_count_variety_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidInputError, match="^no countable model named 'nope'$") as exc:
             count_variety("nope", build_field(3, 1))
+        assert isinstance(exc.value, DomainError) and exc.value.name == "InvalidInput"
 
 
 class TestWeilBound:
