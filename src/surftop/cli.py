@@ -127,6 +127,17 @@ def _surface_spec(spec: str):
     return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=len(parts) == 3)
 
 
+def _int(text: str) -> int:
+    """int(text); argparse's message for a value int refuses, with the value
+    cut as text_repr cuts it."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(f"invalid int value: {text_repr(text)}")
+
+
 def _primes_list(text: str) -> list[int]:
     try:
         primes = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -154,23 +165,31 @@ _GRAMMAR = {
                          "4-manifold (enables definite classification)"), **_JSON}),
     "surface": ("invariants and form class of a surface", {
         "--name": dict(help="catalog surface name"),
-        "--c1sq": dict(type=int, help="c1^2 of the surface"),
-        "--c2": dict(type=int, help="topological Euler number"),
+        "--c1sq": dict(type=_int, help="c1^2 of the surface"),
+        "--c2": dict(type=_int, help="topological Euler number"),
         "--spin": dict(action="store_true", help="canonical class divisible by 2"), **_JSON}),
     "compare": ("decide oriented homeomorphism of two surfaces", {"--a": _SPEC, "--b": _SPEC, **_JSON}),
     "counterexample": ("equal zeta data vs non-homeomorphic surfaces, demonstrated by "
                        "enumeration", {
         "--primes": dict(required=True, type=_primes_list, metavar="P1,P2,..."),
-        "--degrees": dict(type=int, default=2, choices=(1, 2, 3)), **_JSON}),
+        "--degrees": dict(type=_int, default=2, choices=(1, 2, 3)), **_JSON}),
     "count": ("count points of a shipped model over GF(p^k)", {
         "--variety": dict(required=True, help="P1xP1, Bl1P2, or fermat1..fermat6"),
-        "--p": dict(required=True, type=int, help="field characteristic"),
-        "--k": dict(type=int, default=1, help="extension degree (1..3)"), **_JSON}),
+        "--p": dict(required=True, type=_int, help="field characteristic"),
+        "--k": dict(type=_int, default=1, help="extension degree (1..3)"), **_JSON}),
 }
 
 
-def _incomplete_surface(args) -> bool:
-    return args.command == "surface" and args.name is None and None in (args.c1sq, args.c2)
+def _surface_error(args) -> str | None:
+    """The usage error of a surface command that gives neither a name nor both
+    numbers, or a name and numbers; None for any other command."""
+    if args.command != "surface":
+        return None
+    if args.name is None and None in (args.c1sq, args.c2):
+        return "need --name, or both --c1sq and --c2"
+    if args.name is not None and (args.c1sq, args.c2, args.spin) != (None, None, False):
+        return "--name takes no --c1sq, --c2 or --spin"
+    return None
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -202,7 +221,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     args = SimpleNamespace(command=argv[0], **{
         option[2:]: given.get(option, kwargs.get("default", False if "action" in kwargs else None))
         for option, kwargs in options.items()})
-    return None if _incomplete_surface(args) else args
+    return None if _surface_error(args) else args
 
 
 def _argparse_args(argv: list[str]):
@@ -224,8 +243,9 @@ def _argparse_args(argv: list[str]):
         for option, kwargs in options.items():
             p.add_argument(option, **kwargs)
     args = parser.parse_args(argv)
-    if _incomplete_surface(args):
-        sub.choices["surface"].error("need --name, or both --c1sq and --c2")
+    message = _surface_error(args)
+    if message:
+        sub.choices["surface"].error(message)
     return args
 
 

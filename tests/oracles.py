@@ -29,7 +29,8 @@ here too.
 
 The builders at the end are not oracles: diag, block_diag, E8,
 MINUS_E8 and HYPERBOLIC build Gram matrices, gram_to_dict writes one
-as the JSON object of a Gram file, canonical_gram realizes a class as
+as the JSON object of a Gram file, run_fresh starts the surftop under
+test in a fresh interpreter, canonical_gram realizes a class as
 one, forms_isomorphic compares two forms through the production
 classification, and projective_points enumerates P^n. No command needs
 them, so they live with the tests that build inputs and round-trip
@@ -40,9 +41,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
+import surftop
 from surftop.classification import (ClassificationMode, DefiniteDiagonal, FormClass, IndefiniteEven,
                                     IndefiniteOdd, classify_form)
 from surftop.lattice import GramMatrix, determinant, invariants
@@ -420,6 +425,16 @@ def block_diag(*blocks: GramMatrix) -> GramMatrix:
 def gram_to_dict(m: GramMatrix) -> dict:
     """The JSON object of a Gram file, as GramMatrix.from_dict reads it."""
     return {"n": m.n, "entries": [list(row) for row in m.entries]}
+
+
+def run_fresh(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run of `python -S -B *args`: a fresh interpreter that skips
+    site, so that only the surftop under test, and no .pth file, is loaded.
+    Its environment holds just PYTHONPATH (the directory of that surftop),
+    an empty PATH, and env."""
+    path = str(Path(surftop.__file__).parents[1])
+    return subprocess.run([sys.executable, "-S", "-B", *args],
+                          env={"PYTHONPATH": path, "PATH": "", **(env or {})}, **kwargs)
 
 
 # Standard even positive-definite rank-8 form: Gram matrix of the E8 root

@@ -1,16 +1,12 @@
 import json
 import os
 import select
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import surftop
-from oracles import E8, gram_to_dict
+from oracles import E8, gram_to_dict, run_fresh
 from surftop import cli, surfaces
 from surftop.cli import _machine, main, parse_args
 from surftop.classification import IndefiniteOdd, Parity
@@ -155,9 +151,8 @@ class TestGramFileThatWaits:
         fifo = tmp_path / "h.json"
         os.mkfifo(fifo)
         start = time.perf_counter()
-        proc = subprocess.run(  # a hang fails here, after the timeout, instead of stalling the suite
-            [sys.executable, "-B", "-m", "surftop.cli", "classify", "--gram", str(fifo)],
-            env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": ""},
+        proc = run_fresh(  # a hang fails here, after the timeout, instead of stalling the suite
+            "-m", "surftop.cli", "classify", "--gram", str(fifo),
             capture_output=True, text=True, timeout=cli.GRAM_WAIT_S + 2,
         )
         assert time.perf_counter() - start < cli.GRAM_WAIT_S + 2
@@ -266,6 +261,13 @@ class TestSurfaceCommand:
         assert main(["surface", "--c1sq", "9"]) == 2
         assert capsys.readouterr().err.endswith("error: need --name, or both --c1sq and --c2\n")
 
+    def test_name_with_numbers_is_usage_error(self, capsys):
+        for argv in (["surface", "--name", "K3", "--c1sq", "8", "--c2", "4"], ["surface", "--name", "P2", "--spin"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith("error: --name takes no --c1sq, --c2 or --spin\n")
+
 
 class TestCompareCommand:
     def test_the_counterexample_pair(self, capsys):
@@ -311,6 +313,16 @@ class TestCounterexampleCommand:
         assert obj["homeomorphic"] is False
         qs = [row["q"] for block in obj["primes"] for row in block["counts"]]
         assert qs == [2, 3]
+
+    def test_fields_up_to_the_cap_in_seconds(self, capsys):
+        # Bl1P2 and P1xP1 at q = 125 and 343, the largest fields the cap admits
+        start = time.perf_counter()
+        assert main(["counterexample", "--primes", "2,3,5,7", "--degrees", "3", "--json"]) == 0
+        assert time.perf_counter() - start < 2.0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["q"] for block in report["primes"] for row in block["counts"]] == [
+            2, 4, 8, 3, 9, 27, 5, 25, 125, 7, 49, 343]
+        assert report["all_counts_equal"] is True
 
     def test_json_sets_the_topology_beside_the_counts(self, capsys):
         assert main(["counterexample", "--primes", "3", "--degrees", "2", "--json"]) == 0
@@ -391,8 +403,11 @@ class TestLongArgumentsAreNotEchoed:
             (["count", "--variety", "v" * 100_000, "--p", "3"], 1),
             (["surface", "--name", "v" * 100_000], 1),
             (["compare", "--a", "8,4," + "v" * 100_000, "--b", "P1xP1"], 1),
+            (["surface", "--c1sq", "9" * 5000 + "x", "--c2", "4"], 2),
+            (["count", "--p", "9" * 5000 + "x", "--variety", "fermat4"], 2),
+            (["counterexample", "--degrees", "9" * 5000 + "x", "--primes", "2"], 2),
         ],
-        ids=["prime list", "variety", "surface name", "surface spec"],
+        ids=["prime list", "variety", "surface name", "surface spec", "c1sq", "p", "degrees"],
     )
     def test_stderr_stays_short(self, argv, code, capsys):
         assert main(argv) == code

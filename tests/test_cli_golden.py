@@ -13,14 +13,12 @@ a deliberate change of output, with
 import contextlib
 import io
 import json
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-import surftop
+from oracles import run_fresh
 from surftop.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -129,11 +127,8 @@ def run_program(argv: list[str], gram_dir: Path) -> dict:
     """run_case through the program path: main() in a fresh process, which
     ends it with os._exit. Strict UTF-8 decoding makes equal text mean
     equal stdout bytes."""
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", PROGRAM, *_with_grams(argv, gram_dir)],
-        env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", "PYTHONIOENCODING": "utf-8"},
-        capture_output=True,
-    )
+    proc = run_fresh("-c", PROGRAM, *_with_grams(argv, gram_dir), env={"PYTHONIOENCODING": "utf-8"},
+                     capture_output=True)
     return _result(proc.returncode, proc.stdout.decode(), proc.stderr.decode())
 
 

@@ -4,23 +4,21 @@
 command takes, straight from the grammar table; argparse, built from the
 same table, runs only when the reader declines. Whatever the argv, the
 reader either declines or returns exactly what argparse returns. It takes
-every exit-0 and exit-1 job of the benchmark, and a valid command never
-loads argparse.
+every exit-0 and exit-1 job of the benchmark. A command it takes loads no
+argparse, and one it declines does, for each argv row of the load table,
+FOOTPRINT in tests/test_package.py.
 """
 
 import contextlib
 import io
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import surftop
 from surftop.cli import _GRAMMAR, _argparse_args, _read_argv
 from test_cli_help import perfbench_jobs
+from test_package import FOOTPRINT, seen
 
 
 def argparse_vars(argv: list[str]) -> dict | None:
@@ -110,6 +108,7 @@ def test_reader_takes_the_direct_form(argv, expected):
     ["surface"],
     ["surface", "--c1sq", "9"],
     ["frobnicate"],
+    ["surface", "--name", "K3", "--c1sq", "8", "--c2", "4"],  # a name and numbers
 ])
 def test_reader_declines(argv):
     assert _read_argv(argv) is None
@@ -130,51 +129,17 @@ def test_reader_takes_every_benchmark_job_that_runs(tmp_path):
         assert args is not None and vars(args) == argparse_vars(job.argv), job.argv
 
 
-def loads_argparse(argv: list[str], cwd: Path) -> tuple[str, str]:
-    """(exit code and whether argparse is loaded, output) after a fresh
-    process runs surftop.cli.main(argv)."""
-    code = (
-        "import contextlib, io, sys, surftop.cli\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
-        f"    code = surftop.cli.main({argv!r})\n"
-        "print(code, 'argparse' in sys.modules)\n"
-        "print(out.getvalue(), end='')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-B", "-c", code],
-        cwd=cwd,
-        env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", "COLUMNS": "80"},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    status, _, output = out.partition("\n")
-    return status, output
+ARGV_ROWS = [row for row in FOOTPRINT if not row.startswith("import ")]
+TAKEN = [row for row in ARGV_ROWS if _read_argv(row.split()) is not None]
+DECLINED = [row for row in ARGV_ROWS if _read_argv(row.split()) is None]
 
 
-@pytest.mark.parametrize("argv, first_line", [
-    (["count", "--variety", "fermat4", "--p", "5"], "fermat4 over GF(5): 0 points"),
-    (["count", "--variety", "fermat4", "--p", "9"], "NotPrime: 9 is not prime"),
-    (["surface", "--name", "K3", "--json"], '{"class":'),
-    (["compare", "--a", "P1xP1", "--b", "BlP2"], "P1xP1: c1^2 8, c2 4, spin"),
-    (["counterexample", "--primes", "2", "--degrees", "1"], "surfaces: P1xP1 vs Bl1P2"),
-    (["classify", "--gram", "h.json"], "rank 2  b+ 1  b- 1"),
-    (["count", "--variety", "P1xP1", "--p", "347"], "usage error: q = 347 exceeds"),
-], ids=lambda v: v[0] if isinstance(v, list) else None)
-def test_valid_command_loads_no_argparse(argv, first_line, tmp_path):
-    (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
-    status, output = loads_argparse(argv, tmp_path)
-    assert status.split()[1] == "False"
-    assert output.startswith(first_line)
+@pytest.mark.parametrize("row", TAKEN, ids=[f"{row.split()[0]}-{FOOTPRINT[row][1]}" for row in TAKEN])
+def test_valid_command_loads_no_argparse(row, tmp_path):
+    assert "argparse" not in seen(row, tmp_path)[3]
 
 
-@pytest.mark.parametrize("argv, status, first_line", [
-    (["-h"], "0", "usage: surftop [-h]"),
-    (["frobnicate"], "2", "usage: surftop [-h]"),
-    (["count", "--var", "fermat4", "--p", "5"], "0", "fermat4 over GF(5): 0 points"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_argparse_loaded_only_when_the_reader_declines(argv, status, first_line, tmp_path):
-    out_status, output = loads_argparse(argv, tmp_path)
-    assert out_status == f"{status} True"
-    assert output.startswith(first_line)
+@pytest.mark.parametrize("row", DECLINED,
+                         ids=[f"{row}-{FOOTPRINT[row][0]}-{FOOTPRINT[row][1]}" for row in DECLINED])
+def test_argparse_loaded_only_when_the_reader_declines(row, tmp_path):
+    assert "argparse" in seen(row, tmp_path)[3]

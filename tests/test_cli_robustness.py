@@ -14,15 +14,13 @@ import json
 import os
 import re
 import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import surftop
+from oracles import run_fresh
 from strategies import huge_symmetric_rows
 from surftop.cli import main
 
@@ -309,13 +307,8 @@ class TestClosedStdout:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            out = subprocess.run(
-                [sys.executable, "-B", "-m", "surftop.cli", "counterexample", "--primes", "2,3,5,7"],
-                env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", **unbuffered},
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
+            out = run_fresh("-m", "surftop.cli", "counterexample", "--primes", "2,3,5,7",
+                            env=unbuffered, stdout=write_end, stderr=subprocess.PIPE, text=True)
         finally:
             os.close(write_end)
         assert (out.returncode, out.stderr) == (1, "")
@@ -331,13 +324,8 @@ def test_help_to_closed_stdout_exits_1_and_nothing_on_stderr(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        out = subprocess.run(
-            [sys.executable, "-B", "-m", "surftop.cli", *argv],
-            env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": "", **unbuffered},
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
+        out = run_fresh("-m", "surftop.cli", *argv, env=unbuffered, stdout=write_end, stderr=subprocess.PIPE,
+                        text=True)
     finally:
         os.close(write_end)
     assert (out.returncode, out.stderr) == (1, "")
@@ -352,12 +340,7 @@ class TestProgramExit:
     COUNT = ["count", "--variety", "fermat4", "--p", "5"]
 
     def _run(self, code: str, argv: list[str]) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-B", "-c", code, *argv],
-            env={"PYTHONPATH": str(Path(surftop.__file__).parents[1]), "PATH": ""},
-            capture_output=True,
-            text=True,
-        )
+        return run_fresh("-c", code, *argv, capture_output=True, text=True)
 
     @pytest.mark.parametrize(
         "argv, code, error",

@@ -153,7 +153,9 @@ class TestEliminationWorkCap:
 
     def test_rank_200_mix_accepted(self):
         m = random_unimodular_transform(diag(*[1] * 100, *[-1] * 100), seed=200, steps=20 * 200)
+        start = time.perf_counter()
         inv = invariants(m)
+        assert time.perf_counter() - start < 10.0  # one elimination pass: 2-3 s on a 2-vCPU VM
         assert (inv.b_plus, inv.b_minus, inv.determinant) == (100, 100, 1)
 
 

@@ -69,6 +69,9 @@ class TestBuildField:
     def test_gf4_modulus(self):
         assert build_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
 
+    def test_gf343_modulus(self):
+        assert FiniteField(7, 3).modulus == (1, 0, 1, 1)  # x^3 + x^2 + 1, the first cubic with no root mod 7
+
     def test_gf9_modulus_is_first_irreducible(self):
         f = build_field(3, 2)
         assert f.modulus == (1, 0, 1)  # x^2 + 1
