@@ -81,11 +81,11 @@ def _load_gram(path: str):
             raise ValueError(f"file is longer than the cap of {MAX_GRAM_CHARS} characters")
         return GramMatrix.from_dict(json.loads(text))
     except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read {text_repr(path)}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
         # a file over the cap, malformed JSON, bad UTF-8, an integer over the digit
         # limit, nesting deeper than the parser's recursion limit, or a bad Gram object
-        raise InvalidInputError(f"{path}: {exc}") from exc
+        raise InvalidInputError(f"{text_repr(path)}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:

@@ -4,9 +4,11 @@
 command takes, straight from the grammar table; argparse, built from the
 same table, runs only when the reader declines. Whatever the argv, the
 reader either declines or returns exactly what argparse returns. It takes
-every exit-0 and exit-1 job of the benchmark. A command it takes loads no
+every exit-0 and exit-1 job of the benchmark, whose job lists
+test_cli_golden.perfbench_jobs loads. A command it takes loads no
 argparse, and one it declines does, for each argv row of the load table,
-FOOTPRINT in tests/test_package.py.
+FOOTPRINT in tests/test_package.py. What argparse prints for the argv
+the reader declines is pinned in the CLI table of test_cli_golden.py.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftop.cli import _GRAMMAR, _argparse_args, _read_argv
-from test_cli_help import perfbench_jobs
+from test_cli_golden import perfbench_jobs
 from test_package import FOOTPRINT, seen
 
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from oracles import run_fresh
 from strategies import huge_symmetric_rows
 from surftop.cli import main
+from test_cli_golden import check_rows
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 REAL_FIELDS = [(p, k) for p in SMALL_PRIMES for k in (1, 2, 3) if p**k <= 49]
@@ -220,25 +221,13 @@ class TestMalformedGramFile:
 class TestWellFormedRejections:
     """Well-formed Gram files that used to exit 2 as usage errors."""
 
-    def classify(self, tmp_path, capsys, obj, flags):
-        path = tmp_path / "gram.json"
-        path.write_text(json.dumps(obj))
-        code = main(["classify", "--gram", str(path), *flags])
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        return code, captured.err
+    @pytest.mark.parametrize("flags", [[], ["--smooth"]])
+    def test_rank_zero(self, tmp_path, flags):
+        check_rows(tmp_path, " ".join(["classify rank 0", *flags]))
 
     @pytest.mark.parametrize("flags", [[], ["--smooth"]])
-    def test_rank_zero(self, tmp_path, capsys, flags):
-        code, err = self.classify(tmp_path, capsys, {"n": 0, "entries": []}, flags)
-        assert (code, err) == (1, "EmptyForm: classification requires rank >= 1\n")
-
-    @pytest.mark.parametrize("flags", [[], ["--smooth"]])
-    def test_determinant_past_digit_limit(self, tmp_path, capsys, flags):
-        a = int("7" * 3000)  # the determinant -a^2 has 6000 digits
-        code, err = self.classify(tmp_path, capsys, {"n": 2, "entries": [[0, a], [a, 0]]}, flags)
-        assert code == 1
-        assert err == f"NotUnimodular: determinant of {(a * a).bit_length()} bits is not +/-1\n"
+    def test_determinant_past_digit_limit(self, tmp_path, flags):
+        check_rows(tmp_path, " ".join(["classify 6000-digit determinant", *flags]))
 
 
 class TestClassifyWorkCap:
@@ -261,40 +250,19 @@ class TestHugeSurfaceSums:
     """Surface numbers whose sum c1^2 + c2 has more digits than str() converts
     used to exit 2 as usage errors."""
 
-    N = "9" * 4300
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["surface", "--c1sq", N, "--c2", N],
-            ["surface", "--c1sq", "1", "--c2", N],
-            ["compare", "--a", f"{N},{N}", "--b", "K3"],
-        ],
-        ids=["surface N N", "surface 1 N", "compare N,N K3"],
-    )
+    @pytest.mark.parametrize("case", ["surface N N", "surface 1 N", "compare N,N K3"])
     @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_invalid_surface(self, capsys, argv, flags):
-        code = main(argv + flags)
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("InvalidSurface: ")
-        assert captured.err.endswith(" bits not divisible by 12\n")
+    def test_invalid_surface(self, tmp_path, case, flags):
+        check_rows(tmp_path, " ".join([case, *flags]))
 
 
 class TestHugeFieldSize:
     """A q = p^k with more digits than str() converts used to print the
     conversion error instead of the cap message."""
 
-    P = "9" * 1500
-
     @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_cap_message(self, capsys, flags):
-        code = main(["count", "--variety", "fermat4", "--p", self.P, "--k", "3"] + flags)
-        captured = capsys.readouterr()
-        bits = (int(self.P) ** 3).bit_length()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == f"usage error: q = of {bits} bits exceeds the enumeration cap 343\n"
+    def test_cap_message(self, tmp_path, flags):
+        check_rows(tmp_path, " ".join(["count p of 1500 nines k3", *flags]))
 
 
 class TestClosedStdout:
