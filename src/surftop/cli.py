@@ -47,7 +47,7 @@ from enum import Enum
 from types import SimpleNamespace
 
 from . import Record
-from .errors import DomainError, InvalidInputError, text_repr
+from .errors import DomainError, InvalidInputError, int_text, text_repr
 
 
 # about 20 times the largest compact Gram file whose elimination MAX_ELIMINATION_WORK admits
@@ -148,7 +148,7 @@ def _primes_list(text: str) -> list[int]:
     elif len(set(primes)) < len(primes):
         # a repeat would count its fields again; name it, not the whole list
         seen = set()
-        message = f"prime {next(p for p in primes if p in seen or seen.add(p))} is repeated"
+        message = f"prime {int_text(next(p for p in primes if p in seen or seen.add(p)))} is repeated"
     else:
         return primes
     from argparse import ArgumentTypeError

@@ -75,12 +75,12 @@ class InvalidInputError(DomainError):
 
 
 def int_text(n: int) -> str:
-    """n in decimal for a message, or "of N bits" when it has more digits
-    than int-to-str conversion allows."""
-    try:
+    """n in decimal for a message, or, past 40 digits, "a number of N bits"
+    ("a negative number of N bits"), which reads after "=" too; as text_repr
+    cuts an argument, a message never echoes a huge number."""
+    if -10**40 < n < 10**40:
         return str(n)
-    except ValueError:
-        return f"of {n.bit_length()} bits"
+    return f"a {'negative ' if n < 0 else ''}number of {n.bit_length()} bits"
 
 
 def text_repr(text: str) -> str:

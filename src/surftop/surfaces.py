@@ -45,23 +45,24 @@ def compute_invariants(s: SurfaceData) -> SurfaceInvariants:
     b0 = b4 = 1, b1 = b3 = 0); chi(O) = (c1^2 + c2)/12 must be integral.
     """
     c1, c2 = s.c1_sq, s.c2
+    name = s.name if len(s.name) <= 40 else text_repr(s.name)  # a long inline spec is cut
     if (c1 + c2) % 12 != 0:
-        raise InvalidSurfaceError(f"{s.name}: c1^2 + c2 = {int_text(c1 + c2)} not divisible by 12")
+        raise InvalidSurfaceError(f"{name}: c1^2 + c2 = {int_text(c1 + c2)} not divisible by 12")
     if c2 < 3:
-        raise InvalidSurfaceError(f"{s.name}: c2 = {c2} < 3, no room for a hyperplane class")
+        raise InvalidSurfaceError(f"{name}: c2 = {int_text(c2)} < 3, no room for a hyperplane class")
     # 12 | c1^2 + c2 makes sigma integral and b2 + sigma = 4 chi(O) - 2 even
     sigma = (c1 - 2 * c2) // 3
     b2 = c2 - 2
     b_plus = (b2 + sigma) // 2
     b_minus = (b2 - sigma) // 2
     if b_plus < 1:
-        raise InvalidSurfaceError(f"{s.name}: derived b+ = {b_plus} < 1")
+        raise InvalidSurfaceError(f"{name}: derived b+ = {int_text(b_plus)} < 1")
     if b_minus < 0:
-        raise InvalidSurfaceError(f"{s.name}: derived b- = {b_minus} < 0")
+        raise InvalidSurfaceError(f"{name}: derived b- = {int_text(b_minus)} < 0")
     par = Parity.EVEN if s.spin else Parity.ODD
     if par is Parity.EVEN and sigma % 8 != 0:
         raise InvalidSurfaceError(
-            f"{s.name}: spin surface cannot have signature {sigma} (not 0 mod 8)"
+            f"{name}: spin surface cannot have signature {int_text(sigma)} (not 0 mod 8)"
         )
     return SurfaceInvariants(
         b2=b2,

@@ -78,12 +78,12 @@ class FiniteField:
         if not (_is_int(p) and _is_int(k)):
             raise ValueError("characteristic and extension degree must be integers")
         if not 1 <= k <= 3:
-            raise UnsupportedDegreeError(f"extension degree {k} outside 1..3")
+            raise UnsupportedDegreeError(f"extension degree {int_text(k)} outside 1..3")
         q = p**k
         if q > MAX_Q:
             raise ValueError(f"q = {int_text(q)} exceeds the enumeration cap {MAX_Q}")
         if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+            raise NotPrimeError(f"{int_text(p)} is not prime")
         self.p = p
         self.k = k
         self.modulus = None if k == 1 else next(

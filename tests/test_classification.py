@@ -114,8 +114,9 @@ class TestRejectionMessages:
 
     @pytest.mark.parametrize("rank, det", [(1, 7**6000), (2, -(7**6000))], ids=["positive", "negative"])
     def test_determinant_past_digit_limit_by_bit_length(self, rank, det):
-        # 5071 decimal digits, more than str() converts by default
-        expected = rf"^determinant of {abs(det).bit_length()} bits is not \+/-1$"
+        # 5071 decimal digits, named by its size
+        sign = "negative " if det < 0 else ""
+        expected = rf"^determinant a {sign}number of {abs(det).bit_length()} bits is not \+/-1$"
         with pytest.raises(NotUnimodularError, match=expected):
             classify_form(_inv(rank, 2 - rank, Parity.ODD, det), ABSTRACT)
 

@@ -11,10 +11,10 @@ import pytest
 
 from oracles import run_fresh
 from surftop import cli, surfaces
-from surftop.cli import _machine, main, parse_args
+from surftop.cli import _GRAMMAR, _machine, main, parse_args
 from surftop.classification import IndefiniteOdd, Parity
 from surftop.errors import text_repr
-from test_cli_golden import CASES, check_rows, golden, rows
+from test_cli_golden import CASES, check_rows, golden, rows, run_case
 
 
 H_OBJ = {"n": 2, "entries": [[0, 1], [1, 0]]}
@@ -242,37 +242,63 @@ class TestCountCommand:
     test_cap_exceeded_is_usage_error = rows("usage over cap text")
 
 
+def long_value(value: str) -> str:
+    """value at about 5000 characters, of its shape: each number of a comma
+    list lengthened to nines (equal numbers alike, so `2,7,3,07` still
+    repeats a prime), each other part kept (`2,x`, `8,4,shiny`); a value
+    with no number becomes letters, as a name or a path (`,` too)."""
+    parts = value.split(",")
+    numeric = [part for part in parts if part.lstrip("-").isdecimal()]
+    if not numeric:
+        return "v" * 5000
+    numbers, width = sorted({int(part) for part in numeric}), 5000 // len(numeric)
+    return ",".join("-" * part.startswith("-") + "9" * (width - numbers.index(int(part)))
+                    if part.lstrip("-").isdecimal() else part for part in parts)
+
+
+def long_values(options):
+    """(case, argv, value) for each value of one of options in an argv of
+    CASES, replaced by its long_value. Not derived: a value inside its
+    option's word (`--p=5`), a value after an abbreviation that argparse
+    expands (`--var`), a word that argparse reads as an option, not a value
+    (`--p -x`, `--c1sq --c2`), and the numbers inside a Gram file, which
+    the `classify 6000-digit determinant` rows pin."""
+    for case, argv in CASES.items():
+        for i in range(1, len(argv) - 1):
+            value = argv[i + 1]
+            if argv[i] in options and not (value.startswith("-") and not value[1:].isdecimal()):
+                yield case, [*argv[:i + 1], long_value(value), *argv[i + 2:]], long_value(value)
+
+
+def value_options() -> dict[str, set[str]]:
+    """Each option of _GRAMMAR that takes a value, under the name of its test."""
+    names = {"--primes": "prime list", "--name": "surface name", "--a": "surface spec", "--b": "surface spec",
+             "--gram": "gram path"}
+    grouped = {}
+    for _, options in _GRAMMAR.values():
+        for option, kwargs in options.items():
+            if "action" not in kwargs:
+                grouped.setdefault(names.get(option, option[2:]), set()).add(option)
+    return grouped
+
+
 class TestLongArgumentsAreNotEchoed:
-    """A message quotes at most the first 40 characters of an argument, and its length."""
+    """A message quotes at most the first 40 characters of an argument, and
+    its length, and names a number past 40 digits by its size, whatever the
+    option."""
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["counterexample", "--primes", "7" * 60_000 + ",x"], 2),
-            (["count", "--variety", "v" * 100_000, "--p", "3"], 1),
-            (["surface", "--name", "v" * 100_000], 1),
-            (["compare", "--a", "8,4," + "v" * 100_000, "--b", "P1xP1"], 1),
-            (["surface", "--c1sq", "9" * 5000 + "x", "--c2", "4"], 2),
-            (["count", "--p", "9" * 5000 + "x", "--variety", "fermat4"], 2),
-            (["counterexample", "--degrees", "9" * 5000 + "x", "--primes", "2"], 2),
-            (["classify", "--gram", "x" * 5000], 1),
-        ],
-        ids=["prime list", "variety", "surface name", "surface spec", "c1sq", "p", "degrees", "gram path"],
-    )
-    def test_stderr_stays_short(self, argv, code, capsys):
-        assert main(argv) == code
-        err = capsys.readouterr().err
-        assert f"{argv[2][:40]!r}... ({len(argv[2])} characters)" in err
-        assert len(err.encode()) < 300
-
-
-class TestUnknownNameMessages:
-    """An unknown name is reported by its message, not by the repr of a KeyError."""
-
-    @pytest.mark.parametrize("case", ["domain InvalidInput surface", "count nope", "compare nope"],
-                             ids=["surface", "count", "compare"])
-    def test_stderr_line(self, case, tmp_path):
-        check_rows(tmp_path, case)
+    @pytest.mark.parametrize("options", value_options().values(), ids=value_options())
+    def test_stderr_stays_short(self, options, tmp_path):
+        derived = list(long_values(options))
+        assert derived, options
+        for case, argv, value in derived:
+            row = run_case(argv, tmp_path)
+            err = row["stderr"]
+            assert row["exit"] in (1, 2), case
+            assert "Traceback" not in row["stdout"] + err, case
+            assert len(err.encode()) < 300 and value[:41] not in err, (case, err[:300])
+            if repr(value[:40]) in err:
+                assert text_repr(value) in err, (case, err)
 
 
 class TestCapBeforePrimality:

@@ -256,15 +256,6 @@ class TestHugeSurfaceSums:
         check_rows(tmp_path, " ".join([case, *flags]))
 
 
-class TestHugeFieldSize:
-    """A q = p^k with more digits than str() converts used to print the
-    conversion error instead of the cap message."""
-
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_cap_message(self, tmp_path, flags):
-        check_rows(tmp_path, " ".join(["count p of 1500 nines k3", *flags]))
-
-
 class TestClosedStdout:
     """A reader that is gone before the result is written, as in
     `surftop counterexample ... | head -1`, used to get a BrokenPipeError

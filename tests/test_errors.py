@@ -45,11 +45,13 @@ def test_empty_form_is_still_a_value_error():
     [
         (0, "0"),
         (-3, "-3"),
-        (10**4299, "1" + "0" * 4299),  # 4300 digits, the most str() converts
-        (10**4300, "of 14285 bits"),
-        (-(7**6000), "of 16845 bits"),
+        (-(10**40 - 1), "-" + "9" * 40),
+        (10**40, "a number of 133 bits"),
+        (10**4299, "a number of 14281 bits"),
+        (10**4300, "a number of 14285 bits"),  # past int-to-str conversion
+        (-(7**6000), "a negative number of 16845 bits"),
     ],
-    ids=["zero", "negative", "4300 digits", "4301 digits", "negative 5071 digits"],
+    ids=["zero", "negative", "40 digits", "41 digits", "4300 digits", "4301 digits", "negative 5071 digits"],
 )
 def test_int_text(n, text):
     assert int_text(n) == text

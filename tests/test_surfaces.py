@@ -252,13 +252,13 @@ class TestSpinForcesSignatureMod8:
 
 
 class TestHugeSums:
-    """c1^2 + c2 with more digits than str() converts is named by bit length."""
+    """c1^2 + c2 past 40 digits is named by bit length."""
 
     N = int("9" * 4300)
 
     @pytest.mark.parametrize("c1_sq, c2", [(N, N), (1, N)], ids=["N+N", "1+N"])
     def test_named_by_bit_length(self, c1_sq, c2):
-        expected = rf"^big: c1\^2 \+ c2 = of {(c1_sq + c2).bit_length()} bits not divisible by 12$"
+        expected = rf"^big: c1\^2 \+ c2 = a number of {(c1_sq + c2).bit_length()} bits not divisible by 12$"
         with pytest.raises(InvalidSurfaceError, match=expected):
             compute_invariants(SurfaceData("big", c1_sq, c2, False))
 

@@ -360,8 +360,8 @@ class TestCheckOrder:
             counterexample_report([3, HUGE_PRIME], degrees=1)
 
     def test_cap_message_names_huge_q_by_bit_length(self):
-        p = 10**1500 - 1  # q = p^3 has 4498 digits, past int-to-str conversion
-        msg = f"q = of {(p**3).bit_length()} bits exceeds the enumeration cap 343"
+        p = 10**1500 - 1  # q = p^3 has 4498 digits
+        msg = f"q = a number of {(p**3).bit_length()} bits exceeds the enumeration cap 343"
         with pytest.raises(ValueError) as info:
             build_field(p, 3)
         assert str(info.value) == msg
@@ -553,14 +553,18 @@ class TestAtTheCap:
         for f in fields:
             assert count_blowup_p2(f).count == (f.q + 1) ** 2, f
         assert time.perf_counter() - start < 2.0
-        # every other shipped model at the same fields
-        b2 = {d: compute_invariants(catalog_lookup(model_surface_name(f"fermat{d}"))).b2 for d in range(2, 7)}
+        # every other shipped model at the same fields; a split rational surface
+        # meets the Weil bound with equality, N = 1 + b2 q + q^2, b2 from the catalog
+        b2 = {m: compute_invariants(catalog_lookup(model_surface_name(m))).b2
+              for m in ["P1xP1", "Bl1P2", *(f"fermat{d}" for d in range(2, 7))]}
         for f in fields:
             assert count_p1xp1(f).count == (f.q + 1) ** 2, f
+            for m in ("P1xP1", "Bl1P2"):
+                assert count_variety(m, f).count == 1 + b2[m] * f.q + f.q**2, (m, f)
             assert count_variety("fermat1", f).count == f.q**2 + f.q + 1, f
             for d in range(2, 7):
                 if model_has_good_reduction(f"fermat{d}", f.p):
-                    assert weil_bound_check(count_variety(f"fermat{d}", f), b2[d]), (d, f)
+                    assert weil_bound_check(count_variety(f"fermat{d}", f), b2[f"fermat{d}"]), (d, f)
         assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
