@@ -13,7 +13,10 @@ the command, then exact option names, each at most once, as `--opt
 VALUE` or `--flag`, where a VALUE starting with '-' is a negative integer.
 argparse is imported, and built from the same table, only for any other
 argv: -h, abbreviated options, `--opt=value`, `--`, usage errors. So
-help, usage errors and exit code 2 are argparse's own.
+help, usage errors and exit code 2 are argparse's own; only a refused
+`--degrees` value and an unknown command word are worded here, as
+argparse words them but with the value cut (int_text, text_repr), the
+same on every Python version.
 
 Exit codes: 0 success or help, 1 expected domain rejections (the stable
 error name goes to stderr; an unknown surface or model name is
@@ -138,6 +141,16 @@ def _int(text: str) -> int:
     raise ArgumentTypeError(f"invalid int value: {text_repr(text)}")
 
 
+def _degrees(text: str) -> int:
+    """_int(text), if it is 1, 2 or 3; argparse's message for a refused
+    choice, with the value named as int_text names it."""
+    value = _int(text)
+    if value in (1, 2, 3):
+        return value
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(f"invalid choice: {int_text(value)} (choose from 1, 2, 3)")
+
+
 def _primes_list(text: str) -> list[int]:
     try:
         primes = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -172,7 +185,7 @@ _GRAMMAR = {
     "counterexample": ("equal zeta data vs non-homeomorphic surfaces, demonstrated by "
                        "enumeration", {
         "--primes": dict(required=True, type=_primes_list, metavar="P1,P2,..."),
-        "--degrees": dict(type=_int, default=2, choices=(1, 2, 3)), **_JSON}),
+        "--degrees": dict(type=_degrees, default=2, metavar="{1,2,3}"), **_JSON}),
     "count": ("count points of a shipped model over GF(p^k)", {
         "--variety": dict(required=True, help="P1xP1, Bl1P2, or fermat1..fermat6"),
         "--p": dict(required=True, type=_int, help="field characteristic"),
@@ -213,8 +226,6 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             value = kwargs.get("type", str)(text)
         except Exception:  # argparse reports it
             return None
-        if value not in kwargs.get("choices", [value]):
-            return None
         given[option] = value
     if any(kwargs.get("required") and option not in given for option, kwargs in options.items()):
         return None
@@ -234,6 +245,12 @@ def _argparse_args(argv: list[str]):
                 file.write(message)
             else:
                 super()._print_message(message, file)
+
+        def _check_value(self, action, value):
+            # the command word is the one value with choices; argparse would name it in full
+            if action.choices is not None and value not in action.choices:
+                self.error(f"argument command: invalid choice: {text_repr(value)} "
+                           f"(choose from {', '.join(map(repr, _GRAMMAR))})")
 
     parser = Parser(prog="surftop", description="classify unimodular forms, decide surface "
                     "homeomorphism, count points")

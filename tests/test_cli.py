@@ -242,39 +242,47 @@ class TestCountCommand:
     test_cap_exceeded_is_usage_error = rows("usage over cap text")
 
 
-def long_value(value: str) -> str:
+def long_values(value: str) -> list[str]:
     """value at about 5000 characters, of its shape: each number of a comma
     list lengthened to nines (equal numbers alike, so `2,7,3,07` still
-    repeats a prime), each other part kept (`2,x`, `8,4,shiny`); a value
-    with no number becomes letters, as a name or a path (`,` too)."""
+    repeats a prime), each other part kept (`2,x`, `8,4,shiny`); and at
+    4000, where a single number still reads as an int (5000 digits do not)
+    and reaches its option's converter. A value with no number becomes
+    letters, as a name, a path or a command word (`,` too)."""
     parts = value.split(",")
     numeric = [part for part in parts if part.lstrip("-").isdecimal()]
     if not numeric:
-        return "v" * 5000
-    numbers, width = sorted({int(part) for part in numeric}), 5000 // len(numeric)
-    return ",".join("-" * part.startswith("-") + "9" * (width - numbers.index(int(part)))
-                    if part.lstrip("-").isdecimal() else part for part in parts)
+        return ["v" * 5000]
+    numbers = sorted({int(part) for part in numeric})
+    return [",".join("-" * part.startswith("-") + "9" * (size // len(numeric) - numbers.index(int(part)))
+                     if part.lstrip("-").isdecimal() else part for part in parts) for size in (5000, 4000)]
 
 
-def long_values(options):
+def long_argvs(options):
     """(case, argv, value) for each value of one of options in an argv of
-    CASES, replaced by its long_value. Not derived: a value inside its
-    option's word (`--p=5`), a value after an abbreviation that argparse
-    expands (`--var`), a word that argparse reads as an option, not a value
-    (`--p -x`, `--c1sq --c2`), and the numbers inside a Gram file, which
-    the `classify 6000-digit determinant` rows pin."""
+    CASES, replaced by each of its long_values; the option "" stands before
+    the command word. Not derived: a value inside its option's word
+    (`--p=5`), a value after an abbreviation that argparse expands
+    (`--var`), a value that a later repeat of its option replaces (`--p 5
+    --p 7`), a word that argparse reads as an option, not a value (`--p
+    -x`, `--c1sq --c2`), and the numbers inside a Gram file, which the
+    `classify 6000-digit determinant` rows pin."""
     for case, argv in CASES.items():
-        for i in range(1, len(argv) - 1):
-            value = argv[i + 1]
-            if argv[i] in options and not (value.startswith("-") and not value[1:].isdecimal()):
-                yield case, [*argv[:i + 1], long_value(value), *argv[i + 2:]], long_value(value)
+        words = ["", *argv]
+        for i in range(len(words) - 1):
+            value = words[i + 1]
+            if (words[i] in options and words[i] not in words[i + 2:]
+                    and not (value.startswith("-") and not value[1:].isdecimal())):
+                for long in long_values(value):
+                    yield case, [*words[1:i + 1], long, *words[i + 2:]], long
 
 
 def value_options() -> dict[str, set[str]]:
-    """Each option of _GRAMMAR that takes a value, under the name of its test."""
+    """Each option of _GRAMMAR that takes a value, and "" for the command
+    word, under the name of its test."""
     names = {"--primes": "prime list", "--name": "surface name", "--a": "surface spec", "--b": "surface spec",
              "--gram": "gram path"}
-    grouped = {}
+    grouped = {"command": {""}}
     for _, options in _GRAMMAR.values():
         for option, kwargs in options.items():
             if "action" not in kwargs:
@@ -285,11 +293,11 @@ def value_options() -> dict[str, set[str]]:
 class TestLongArgumentsAreNotEchoed:
     """A message quotes at most the first 40 characters of an argument, and
     its length, and names a number past 40 digits by its size, whatever the
-    option."""
+    option or the command word."""
 
     @pytest.mark.parametrize("options", value_options().values(), ids=value_options())
     def test_stderr_stays_short(self, options, tmp_path):
-        derived = list(long_values(options))
+        derived = list(long_argvs(options))
         assert derived, options
         for case, argv, value in derived:
             row = run_case(argv, tmp_path)

@@ -99,7 +99,6 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] == "surftop"))
 print(*(m for m in {!r} if m in sys.modules))
 """
 SURFACE = "classification cli errors surfaces"
-ZETA_REPORT = "import surftop.zeta as z; z.counterexample_report([2], 1)"
 K3 = "surface --name K3"
 COUNT = "count --variety fermat4 --p 5"
 COUNTEREXAMPLE = "counterexample --primes 2 --degrees 1"
@@ -113,7 +112,7 @@ CLASSIFY = "classify --gram h.json"
 # and none loads rational arithmetic, dataclasses, inspect, random or __future__.
 FOOTPRINT = {
     "import surftop.classification": (None, "", "classification errors", ""),
-    ZETA_REPORT: (None, "", "errors zeta", ""),
+    "import surftop.zeta as z; z.counterexample_report([2], 1)": (None, "", "errors zeta", ""),
     "import surftop.cli": (None, "", "cli errors", ""),
     COUNT: (0, "fermat4 over GF(5): 0 points", "cli errors zeta", ""),
     "count --variety fermat4 --p 9": (1, "NotPrime: 9 is not prime", "cli errors zeta", ""),
@@ -157,26 +156,6 @@ def test_load_footprint(row, tmp_path):
 
 
 # the rules the table follows, each under its own name
-def test_importing_one_layer_loads_no_other(tmp_path):
-    assert seen("import surftop.classification", tmp_path)[2] == ["classification", "errors"]
-
-
-def test_counting_the_counterexample_loads_no_other_layer(tmp_path):
-    assert seen(ZETA_REPORT, tmp_path)[2] == ["errors", "zeta"]
-
-
-def test_cli_start_loads_no_rational_arithmetic(tmp_path):
-    assert not {"fractions", "decimal"} & set(seen("import surftop.cli", tmp_path)[3])
-
-
-def test_cli_import_loads_no_json(tmp_path):
-    assert "json" not in seen("import surftop.cli", tmp_path)[3]
-
-
-def test_count_loads_only_zeta(tmp_path):
-    assert seen(COUNT, tmp_path)[2:] == (["cli", "errors", "zeta"], [])
-
-
 def test_surface_loads_no_zeta(tmp_path):
     assert "zeta" not in seen(K3, tmp_path)[2]
 
