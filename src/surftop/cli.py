@@ -14,9 +14,10 @@ VALUE` or `--flag`, where a VALUE starting with '-' is a negative integer.
 argparse is imported, and built from the same table, only for any other
 argv: -h, abbreviated options, `--opt=value`, `--`, usage errors. So
 help, usage errors and exit code 2 are argparse's own; only a refused
-`--degrees` value and an unknown command word are worded here, as
-argparse words them but with the value cut (int_text, text_repr), the
-same on every Python version.
+`--degrees` value, an unknown command word and unrecognized arguments
+are worded here, as argparse words them but with each value or word
+past 40 characters cut (int_text, text_repr), the same on every Python
+version.
 
 Exit codes: 0 success or help, 1 expected domain rejections (the stable
 error name goes to stderr; an unknown surface or model name is
@@ -251,6 +252,14 @@ def _argparse_args(argv: list[str]):
             if action.choices is not None and value not in action.choices:
                 self.error(f"argument command: invalid choice: {text_repr(value)} "
                            f"(choose from {', '.join(map(repr, _GRAMMAR))})")
+
+        def parse_args(self, args=None, namespace=None):
+            # argparse's own check, but a word past 40 characters is cut
+            args, extras = self.parse_known_args(args, namespace)
+            if extras:
+                self.error("unrecognized arguments: "
+                           + " ".join(w if len(w) <= 40 else text_repr(w) for w in extras))
+            return args
 
     parser = Parser(prog="surftop", description="classify unimodular forms, decide surface "
                     "homeomorphism, count points")

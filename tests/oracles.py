@@ -2,14 +2,16 @@
 
 Each oracle recomputes a production quantity through a different
 algorithm: determinants by memoized cofactor expansion instead of
-Bareiss, signatures by characteristic-polynomial sign counting instead
-of congruence diagonalization, parity by brute evaluation of Q(x,x)
-mod 2, and point counts by chart-by-chart nested loops with no caching
-(hypersurfaces in P3) or over every point pair (the P1xP1 and Bl1P2
-models in P2 x P1), where production counts separable equations by value
-distributions. The point counts do their field arithmetic in
-OracleField, built from p, k and the modulus alone, so a fault in the
-production field cannot show up on both sides of a comparison. Value
+Bareiss, the elimination pass one pivot per step where production
+takes three at once, signatures by characteristic-polynomial sign
+counting instead of congruence diagonalization, parity by brute
+evaluation of Q(x,x) mod 2, and point counts by chart-by-chart nested
+loops with no caching (hypersurfaces in P3) or over every point pair
+(the P1xP1 and Bl1P2 models in P2 x P1), where production counts
+separable equations by value distributions. The point counts do their
+field arithmetic in OracleField, built from p, k and the modulus alone,
+so a fault in the production field cannot show up on both sides of a
+comparison. Value
 distributions themselves have a slow path: orbit_hist and
 projective_zeros build and convolve histograms over every field
 element, multiplying, adding and negating in OracleField too, where
@@ -74,6 +76,41 @@ def cofactor_determinant(rows) -> int:
         return acc
 
     return minor((1 << n) - 1)
+
+
+def one_pivot_elimination(rows) -> tuple[int, int, int]:
+    """(b_plus, b_minus, determinant) by the symmetric Bareiss pass one
+    pivot per step, where lattice._eliminate takes three when it can:
+    a_ij <- (a_ij a_kk - a_ki a_kj) / d_k on the upper triangle, with the
+    same zero-pivot repair (add s * (row j, column j) into k, s = +/-1 so
+    that 2 s a_kj + a_jj is nonzero) and kernel rule (a zero row counts as
+    neither sign and makes the determinant 0)."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    pos = neg = 0
+    prev = 1
+    kernel = False
+    for k in range(n):
+        row = a[k]
+        if row[k] == 0:
+            j = next((j for j in range(k + 1, n) if row[j]), None)
+            if j is None:
+                kernel = True
+                continue
+            s = 1 if 2 * row[j] + a[j][j] else -1
+            row[k] = 2 * s * row[j] + a[j][j]
+            for t in range(k + 1, n):
+                row[t] += s * (a[j][t] if j <= t else a[t][j])
+        p = row[k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                a[i][j] = (a[i][j] * p - row[i] * row[j]) // prev
+        prev = p
+    return pos, neg, 0 if kernel else prev
 
 
 def full_copy_unimodular_mix(rows, seed: int, steps: int, max_entry: int):

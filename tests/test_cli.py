@@ -308,6 +308,13 @@ class TestLongArgumentsAreNotEchoed:
             if repr(value[:40]) in err:
                 assert text_repr(value) in err, (case, err)
 
+    @pytest.mark.parametrize("word", ["x" * 5000, "--" + "x" * 5000], ids=["unrecognized", "unknown option"])
+    def test_unrecognized_word_is_cut(self, word, tmp_path):
+        row = run_case(["count", "--variety", "fermat4", "--p", "5", word], tmp_path)
+        err = row["stderr"]
+        assert (row["exit"], row["stdout"]) == (2, "")
+        assert len(err.encode()) < 300 and err.endswith(f": unrecognized arguments: {text_repr(word)}\n"), err[:300]
+
 
 class TestCapBeforePrimality:
     """A huge characteristic is refused by the cap, before any trial division."""

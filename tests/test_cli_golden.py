@@ -11,8 +11,12 @@ holds FILES, which argv names relatively. The rows print every error
 name the CLI can reach: all but `ZeroForm` (no shipped model vanishes
 mod p) and `InconsistentEvenSignature` (an even unimodular form has
 signature divisible by 8); test_cli.py's TestOutputHygiene checks every
-row's output. Python 3.10 to 3.13 print the same bytes. Rewrite the
-file only for a deliberate change of output, with
+row's output. Python 3.10 to 3.13 print the same bytes. To compare every
+row in process on any interpreter, without pytest, run
+
+    PYTHONPATH=src python -S tests/test_cli_golden.py --check
+
+Rewrite the file only for a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -21,13 +25,12 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from pathlib import Path
-
-import pytest
+from unittest import mock
 
 from oracles import E8, HYPERBOLIC, MINUS_E8, block_diag, diag, gram_to_dict, run_fresh
 from surftop.cli import _GRAMMAR, main
@@ -167,11 +170,13 @@ def write_files(directory: Path) -> None:
 
 def run_case(argv: list[str], cwd: Path) -> dict:
     """Exit code, stdout and stderr of main(argv), run in cwd with COLUMNS=80."""
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        patch.chdir(cwd)
-        patch.setenv("COLUMNS", "80")
-        code = main(list(argv))
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(cwd)
+        try:
+            code = main(list(argv))
+        finally:
+            os.chdir(home)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -185,6 +190,22 @@ def check_rows(cwd: Path, *cases: str) -> None:
 def rows(*cases: str):
     """A test method that checks the rows of cases."""
     return lambda self, tmp_path: check_rows(tmp_path, *cases)
+
+
+if __name__ == "__main__":  # the script stops here, so it needs no pytest
+    with tempfile.TemporaryDirectory() as tmp:
+        write_files(Path(tmp))
+        table = {case: run_case(argv, Path(tmp)) for case, argv in sorted(CASES.items())}
+    if sys.argv[1:] == ["--check"]:
+        differ = [case for case in table if table[case] != golden().get(case)]
+        print(*differ, f"{len(table) - len(differ)} of {len(table)} rows match", sep="\n")
+        sys.exit(1 if differ or sorted(golden()) != sorted(CASES) else 0)
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
+    sys.exit(0)
+
+from concurrent.futures import ThreadPoolExecutor  # noqa: E402
+
+import pytest  # noqa: E402
 
 
 def test_golden_covers_every_case():
@@ -224,9 +245,3 @@ def test_exit_1_rows_name_every_reachable_domain_error():
     for case, (_, error) in zip(_DOMAIN_NAMES, JOBS.DOMAIN_ERRORS):
         assert golden()[case]["stderr"].startswith(f"{error}: "), case
 
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        write_files(Path(tmp))
-        table = {case: run_case(argv, Path(tmp)) for case, argv in sorted(CASES.items())}
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True, ensure_ascii=False) + "\n")

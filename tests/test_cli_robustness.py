@@ -218,18 +218,6 @@ class TestMalformedGramFile:
         assert code == 1 and err.startswith("InvalidInput")
 
 
-class TestWellFormedRejections:
-    """Well-formed Gram files that used to exit 2 as usage errors."""
-
-    @pytest.mark.parametrize("flags", [[], ["--smooth"]])
-    def test_rank_zero(self, tmp_path, flags):
-        check_rows(tmp_path, " ".join(["classify rank 0", *flags]))
-
-    @pytest.mark.parametrize("flags", [[], ["--smooth"]])
-    def test_determinant_past_digit_limit(self, tmp_path, flags):
-        check_rows(tmp_path, " ".join(["classify 6000-digit determinant", *flags]))
-
-
 class TestClassifyWorkCap:
     """A Gram file whose elimination would run for minutes is a usage error
     at once, the way q over the enumeration cap is."""

@@ -15,6 +15,7 @@ from oracles import (
     diag,
     full_copy_unimodular_mix,
     gram_to_dict,
+    one_pivot_elimination,
     parity_by_enumeration,
     signature_by_charpoly,
 )
@@ -155,7 +156,7 @@ class TestEliminationWorkCap:
         m = random_unimodular_transform(diag(*[1] * 100, *[-1] * 100), seed=200, steps=20 * 200)
         start = time.perf_counter()
         inv = invariants(m)
-        assert time.perf_counter() - start < 10.0  # one elimination pass: 2-3 s on a 2-vCPU VM
+        assert time.perf_counter() - start < 10.0  # one elimination pass: about 1 s on a 2-vCPU Xeon VM
         assert (inv.b_plus, inv.b_minus, inv.determinant) == (100, 100, 1)
 
 
@@ -227,6 +228,33 @@ class TestInvariants:
         inv = invariants(m)
         assert inv.determinant == cofactor_determinant(m.entries)
         assert (inv.b_plus, inv.b_minus) == signature_by_charpoly(m.entries)
+
+    @given(gram_matrices(max_rank=9, min_entry=-2, max_entry=2))
+    @settings(max_examples=300)
+    def test_eliminate_matches_one_pivot_pass(self, m):
+        # small entries make zero leading minors common, so the three-pivot
+        # step often falls back to one pivot, a repair or a kernel row
+        assert lattice._eliminate(m) == one_pivot_elimination(m.entries)
+
+    # rank-6 forms on which the one-pivot pass, from pivot 0, takes one pivot and then
+    # repairs (the zero falls on the 2nd pivot of a would-be block), takes two and then
+    # repairs (the 3rd), takes three and then repairs, or takes three and meets a kernel row
+    @pytest.mark.parametrize("rows", [
+        ((1, -1, 0, 1, 1, 2), (-1, 1, 1, 2, 0, 2), (0, 1, -1, 1, 2, 0),
+         (1, 2, 1, -1, 1, 2), (1, 0, 2, 1, -1, 0), (2, 2, 0, 2, 0, 1)),
+        ((1, 1, -1, 0, -1, 0), (1, 2, 0, 1, -1, 1), (-1, 0, 2, -1, 0, -1),
+         (0, 1, -1, 1, -1, 1), (-1, -1, 0, -1, -1, 1), (0, 1, -1, 1, 1, -1)),
+        ((-1, -1, -1, 1, 1, 2), (-1, 1, -1, 1, -1, 2), (-1, -1, 2, 1, 0, 2),
+         (1, 1, 1, -1, 1, 1), (1, -1, 0, 1, 1, 1), (2, 2, 2, 1, 1, 0)),
+        ((2, 1, 0, 0, -1, 2), (1, 1, -1, 1, 2, 0), (0, -1, 1, -1, 1, -1),
+         (0, 1, -1, 1, -1, 1), (-1, 2, 1, -1, 0, 2), (2, 0, -1, 1, 2, -1)),
+    ], ids=["zero-2nd-pivot", "zero-3rd-pivot", "repair-after-block", "kernel-after-block"])
+    def test_zero_pivots_around_a_block(self, rows):
+        m = GramMatrix(rows)
+        assert lattice._eliminate(m) == one_pivot_elimination(rows)
+        inv = invariants(m)
+        assert inv.determinant == cofactor_determinant(rows)
+        assert (inv.b_plus, inv.b_minus) == signature_by_charpoly(rows)
 
     @given(gram_matrices(max_rank=4))
     def test_signature_matches_charpoly_signs(self, m):
