@@ -8,16 +8,11 @@ a shipped model over GF(p^k). Each runner imports the layers it uses
 when it runs, so a command loads only those: `count` loads `zeta` alone.
 
 One table, _GRAMMAR, gives every option as argparse keyword arguments.
-Argv of the form every valid command takes is read straight from it:
-the command, then exact option names, each at most once, as `--opt
-VALUE` or `--flag`, where a VALUE starting with '-' is a negative integer.
-argparse is imported, and built from the same table, only for any other
-argv: -h, abbreviated options, `--opt=value`, `--`, usage errors. So
-help, usage errors and exit code 2 are argparse's own; only a refused
-`--degrees` value, an unknown command word and unrecognized arguments
-are worded here, as argparse words them but with each value or word
-past 40 characters cut (int_text, text_repr), the same on every Python
-version.
+One reader, parse_args, reads every argv from it as argparse of Python
+3.13.13 reads it (a unique prefix, `--opt=value`, a repeat, `--`, -h
+anywhere), and writes help and usage errors in argparse's wording at 80
+columns, each echoed word past 40 characters cut (int_text, text_repr):
+the same bytes on every Python version, and argparse is never imported.
 
 Exit codes: 0 success or help, 1 expected domain rejections (the stable
 error name goes to stderr; an unknown surface or model name is
@@ -132,41 +127,31 @@ def _surface_spec(spec: str):
 
 
 def _int(text: str) -> int:
-    """int(text); argparse's message for a value int refuses, with the value
-    cut as text_repr cuts it."""
+    """int(text); else ValueError in argparse's words, the value cut by text_repr."""
     try:
         return int(text)
     except ValueError:
-        pass
-    from argparse import ArgumentTypeError
-    raise ArgumentTypeError(f"invalid int value: {text_repr(text)}")
+        raise ValueError(f"invalid int value: {text_repr(text)}") from None
 
 
 def _degrees(text: str) -> int:
-    """_int(text), if it is 1, 2 or 3; argparse's message for a refused
-    choice, with the value named as int_text names it."""
+    """_int(text) if 1, 2 or 3; else ValueError in argparse's words, the value named by int_text."""
     value = _int(text)
     if value in (1, 2, 3):
         return value
-    from argparse import ArgumentTypeError
-    raise ArgumentTypeError(f"invalid choice: {int_text(value)} (choose from 1, 2, 3)")
+    raise ValueError(f"invalid choice: {int_text(value)} (choose from 1, 2, 3)")
 
 
 def _primes_list(text: str) -> list[int]:
     try:
         primes = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        primes = None
-    if not primes:
-        message = "prime list is empty" if primes == [] else f"bad prime list {text_repr(text)}"
-    elif len(set(primes)) < len(primes):
-        # a repeat would count its fields again; name it, not the whole list
-        seen = set()
-        message = f"prime {int_text(next(p for p in primes if p in seen or seen.add(p)))} is repeated"
-    else:
-        return primes
-    from argparse import ArgumentTypeError
-    raise ArgumentTypeError(message)
+        raise ValueError(f"bad prime list {text_repr(text)}") from None
+    seen = set()  # a repeat would count its fields again; name it, not the whole list
+    repeat = next((p for p in primes if p in seen or seen.add(p)), None)
+    if not primes or repeat is not None:
+        raise ValueError(f"prime {int_text(repeat)} is repeated" if primes else "prime list is empty")
+    return primes
 
 
 # the grammar: command -> (help, {option: argparse keyword arguments})
@@ -192,93 +177,148 @@ _GRAMMAR = {
         "--p": dict(required=True, type=_int, help="field characteristic"),
         "--k": dict(type=_int, default=1, help="extension degree (1..3)"), **_JSON}),
 }
+_ABOUT = "classify unimodular forms, decide surface homeomorphism, count points"
+_COMMANDS = "{" + ",".join(_GRAMMAR) + "}"
+_HELP = ("-h", "--help")
 
 
-def _surface_error(args) -> str | None:
-    """The usage error of a surface command that gives neither a name nor both
-    numbers, or a name and numbers; None for any other command."""
-    if args.command != "surface":
+class _Exit(Exception):
+    """Help, (0, text for stdout), or a usage error, (2, text for stderr)."""
+
+
+def _fill(text: str, width: int) -> list[str]:
+    """text in lines of at most width characters, broken at spaces."""
+    lines = []
+    for word in text.split():
+        if lines and len(lines[-1]) + 1 + len(word) <= width:
+            lines[-1] += " " + word
+        else:
+            lines.append(word)
+    return lines
+
+
+def _heads(command: str | None) -> list[tuple[str, dict]]:
+    """Each option of command as its help names it, with its keyword arguments."""
+    return [(o if "action" in kw else f"{o} {kw.get('metavar', o[2:].upper())}", kw)
+            for o, kw in (_GRAMMAR[command][1] if command else {}).items()]
+
+
+def _usage(command: str | None) -> str:
+    """argparse's usage of command, or of the program for None, at 80 columns."""
+    line = f"usage: surftop {command}" if command else "usage: surftop"
+    lines, indent = [line], " " * (len(line) + 1)
+    parts = [head if kw.get("required") else f"[{head}]" for head, kw in _heads(command)]
+    for part in ["[-h]", *parts] if command else ["[-h]", _COMMANDS + " ..."]:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _help(command: str | None) -> str:
+    """argparse's help of command, or of the program for None, at 80 columns."""
+    options = [(2, "-h, --help", "show this help message and exit"),
+               *((2, head, kw.get("help")) for head, kw in _heads(command))]
+    commands = [] if command else [(2, _COMMANDS, None), *((4, c, h) for c, (h, _) in _GRAMMAR.items())]
+    position = min(24, 2 + max(indent + len(head) for indent, head, _ in options + commands))
+    blocks = [_usage(command)] + ([] if command else ["\n".join(_fill(_ABOUT, 78))])
+    for title, rows in (("positional arguments:", commands), ("options:", options)):
+        lines = [title]
+        for indent, head, text in rows:
+            lines.append(" " * indent + head)
+            wrapped = _fill(text or "", 78 - position)
+            if wrapped and len(lines[-1]) + 2 <= position:
+                lines[-1] = lines[-1].ljust(position) + wrapped.pop(0)
+            lines += [" " * position + line for line in wrapped]
+        blocks += ["\n".join(lines)] if rows else []
+    return "\n\n".join(blocks) + "\n"
+
+
+def _fail(command: str | None, message: str):
+    """A usage error of command, or of the program for None, as argparse prints it."""
+    prog = f"surftop {command}" if command else "surftop"
+    raise _Exit(2, f"{_usage(command)}\n{prog}: error: {message}\n")
+
+
+def _lookup(word: str, names: tuple[str, ...]) -> list[tuple] | None:
+    """Each option among names that word may name, as argparse reads it,
+    with its explicit argument or None (for -h, all that follows -h); []
+    for an option of no name; None for a value, and for `--`."""
+    if word in names:
+        return [(word, None)]
+    if word[:1] != "-" or word in ("-", "--"):
         return None
-    if args.name is None and None in (args.c1sq, args.c2):
-        return "need --name, or both --c1sq and --c2"
-    if args.name is not None and (args.c1sq, args.c2, args.spin) != (None, None, False):
-        return "--name takes no --c1sq, --c2 or --spin"
-    return None
+    if word[:2] == "-h":  # -h and more characters, as a short option and its argument
+        return [("-h", word[2:])]
+    prefix, sep, explicit = word.partition("=")
+    found = [(prefix, explicit)] if sep and prefix in names else [  # or a long option by a unique prefix
+        (name, explicit if sep else None) for name in names if name.startswith(prefix)]
+    # a value: a negative number (argparse's ^-\d+$|^-\d*\.\d+$, whose $ also
+    # matches before a final newline), or a word with a space
+    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
+    negative = (fraction if dot else whole).isdecimal() and (whole + "0").isdecimal()
+    return found or (None if negative or " " in word else [])
 
 
-def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """argv read from _GRAMMAR, in the form that every valid command takes
-    (see the module docstring); None for any other argv."""
-    if not argv or argv[0] not in _GRAMMAR:
-        return None
-    options, given, words = _GRAMMAR[argv[0]][1], {}, iter(argv[1:])
-    for option in words:
-        kwargs = options.get(option)
-        if kwargs is None or option in given:
-            return None
-        if "action" in kwargs:  # a store_true flag
-            given[option] = True
-            continue
-        text = next(words, None)
-        # argparse takes '-12' as a value, since no option looks like a negative number
-        if text is None or text.startswith("-") and not text[1:].isdecimal():
-            return None
-        try:
-            value = kwargs.get("type", str)(text)
-        except Exception:  # argparse reports it
-            return None
-        given[option] = value
-    if any(kwargs.get("required") and option not in given for option, kwargs in options.items()):
-        return None
-    args = SimpleNamespace(command=argv[0], **{
+def _take(command: str | None, word: str, found: list[tuple], words, names: tuple, given: dict) -> None:
+    """The option that word names, with its value, read into given; _Exit
+    for help, and for an ambiguous word or a value missing or refused."""
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {word if len(word) <= 40 else text_repr(word)} "
+                       f"could match {', '.join(name for name, _ in found)}")
+    (name, explicit), = found
+    if name == "-h" and explicit is not None:  # -hx reads as -h -x, and -hh=3 as -h -h=3
+        explicit = explicit.lstrip("h")
+        explicit = explicit[1:] if explicit[:1] == "=" else explicit if explicit[:1] == "-" else None
+    kwargs = {"action": "help"} if name in _HELP else _GRAMMAR[command][1][name]
+    if "action" in kwargs and explicit is not None:
+        _fail(command, f"argument {'-h/--help' if name in _HELP else name}: "
+                       f"ignored explicit argument {text_repr(explicit)}")
+    if name in _HELP:
+        raise _Exit(0, _help(command))
+    if explicit is None and "action" not in kwargs:
+        explicit = next(words, "--")  # with no word left, as before `--`, there is no value
+        if explicit == "--" or _lookup(explicit, names) is not None:
+            _fail(command, f"argument {name}: expected one argument")
+    try:
+        given[name] = True if "action" in kwargs else kwargs.get("type", str)(explicit)
+    except ValueError as exc:
+        _fail(command, f"argument {name}: {exc}")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and options of argv, read from _GRAMMAR as argparse of
+    Python 3.13.13 reads them; _Exit for help and for usage errors."""
+    words, extras, command, given = iter(argv), [], None, {}
+    for word in words:
+        names = (*_HELP, *_GRAMMAR[command][1]) if command else _HELP
+        found = _lookup(word, names)
+        if command is None and found is None:  # the command word; a `--` before it is dropped
+            command = next(words, None) if word == "--" else word
+            if command not in (None, *_GRAMMAR):
+                _fail(None, f"argument command: invalid choice: {text_repr(command)} "
+                            f"(choose from {', '.join(map(repr, _GRAMMAR))})")
+        elif word == "--":  # it and every word after it are unrecognized
+            extras += [word, *words]
+        elif found:
+            _take(command, word, found, words, names, given)
+        else:
+            extras.append(word)
+    options = _GRAMMAR[command][1] if command else {}
+    missing = [option for option, kwargs in options.items() if kwargs.get("required") and option not in given]
+    if missing or command is None:
+        _fail(command, f"the following arguments are required: {', '.join(missing or ['command'])}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(w if len(w) <= 40 else text_repr(w) for w in extras)}")
+    args = SimpleNamespace(command=command, **{
         option[2:]: given.get(option, kwargs.get("default", False if "action" in kwargs else None))
         for option, kwargs in options.items()})
-    return None if _surface_error(args) else args
-
-
-def _argparse_args(argv: list[str]):
-    """argv parsed by argparse, built from _GRAMMAR; SystemExit after help or usage errors."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def _print_message(self, message, file=None):
-            if message and file is sys.stdout:  # unlike argparse, a failed help write raises
-                file.write(message)
-            else:
-                super()._print_message(message, file)
-
-        def _check_value(self, action, value):
-            # the command word is the one value with choices; argparse would name it in full
-            if action.choices is not None and value not in action.choices:
-                self.error(f"argument command: invalid choice: {text_repr(value)} "
-                           f"(choose from {', '.join(map(repr, _GRAMMAR))})")
-
-        def parse_args(self, args=None, namespace=None):
-            # argparse's own check, but a word past 40 characters is cut
-            args, extras = self.parse_known_args(args, namespace)
-            if extras:
-                self.error("unrecognized arguments: "
-                           + " ".join(w if len(w) <= 40 else text_repr(w) for w in extras))
-            return args
-
-    parser = Parser(prog="surftop", description="classify unimodular forms, decide surface "
-                    "homeomorphism, count points")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _GRAMMAR.items():
-        p = sub.add_parser(command, help=help_text)
-        for option, kwargs in options.items():
-            p.add_argument(option, **kwargs)
-    args = parser.parse_args(argv)
-    message = _surface_error(args)
-    if message:
-        sub.choices["surface"].error(message)
+    if command == "surface" and args.name is None and None in (args.c1sq, args.c2):
+        _fail(command, "need --name, or both --c1sq and --c2")
+    if command == "surface" and args.name is not None and (args.c1sq, args.c2, args.spin) != (None, None, False):
+        _fail(command, "--name takes no --c1sq, --c2 or --spin")
     return args
-
-
-def parse_args(argv: list[str]):
-    """The command and options of argv, read directly or, for any other form
-    of argv, by argparse, which raises SystemExit after help or usage errors."""
-    return _read_argv(argv) or _argparse_args(argv)
 
 
 def _run_classify(args) -> tuple[dict, list[str]]:
@@ -381,19 +421,19 @@ def _drop_stdout() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Given argv, return its exit code: every outcome,
-    argparse's help and usage errors included, comes back as a code.
-    Without argv, run sys.argv[1:] as the program: flush stderr and end the
-    process with the code, without interpreter teardown. Any other
-    exception is a bug and propagates."""
+    help and usage errors included, comes back as a code. Without argv,
+    run sys.argv[1:] as the program: flush stderr and end the process with
+    the code, without interpreter teardown. Any other exception is a bug
+    and propagates."""
     try:
         try:
-            # a -h write to a reader that is gone raises in here too
             args = parse_args(sys.argv[1:] if argv is None else argv)
             payload, text = _RUNNERS[args.command](args)
             print(_machine(payload) if args.json else "\n".join(text))
             code = 0
-        except SystemExit as exc:  # argparse, after help (0) or a usage error (2)
-            code = exc.code
+        except _Exit as exc:  # help (0) or a usage error (2)
+            code, text = exc.args
+            (sys.stderr if code else sys.stdout).write(text)
         except DomainError as exc:
             print(f"{exc.name}: {exc}", file=sys.stderr)
             code = 1

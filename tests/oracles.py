@@ -24,7 +24,9 @@ Powers are taken by power, square-and-multiply through the mul of
 whichever field it is given. Two checks stand beside them:
 brute_force_isometry searches small integer matrices for a witness
 that two forms are isometric, and weil_bound_check holds a count of a
-smooth surface to the Weil bound.
+smooth surface to the Weil bound. argparse_args reads a CLI argv with
+argparse itself, built from the CLI's grammar table, where production
+reads it with its own reader.
 The facts about the shipped models that only the tests read (which
 catalog surface a model carries, and where it has good reduction) live
 here too.
@@ -41,6 +43,7 @@ classes with them.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 import subprocess
@@ -52,6 +55,7 @@ from pathlib import Path
 import surftop
 from surftop.classification import (ClassificationMode, DefiniteDiagonal, FormClass, IndefiniteEven,
                                     IndefiniteOdd, classify_form)
+from surftop.cli import _ABOUT, _GRAMMAR
 from surftop.lattice import GramMatrix, determinant, invariants
 from surftop.zeta import MODELS, FiniteField, PointCount
 
@@ -436,6 +440,41 @@ def weil_bound_check(c: PointCount, b2: int) -> bool:
     while b0 and b4 contribute 1 and q^2.
     """
     return abs(c.count - 1 - c.q * c.q) <= b2 * c.q
+
+
+def argparse_args(argv: list[str]):
+    """argv read by argparse, built from the CLI's grammar table, with the
+    surface command's two rules: the reading that surftop.cli.parse_args
+    follows. It prints help or a usage error, at the width of COLUMNS, and
+    raises SystemExit(0 or 2). A converter's ValueError is argparse's
+    ArgumentTypeError, and an unknown command word is named with each choice
+    quoted, as the CLI names it; argparse from 3.13.13 leaves the quotes out."""
+    class Parser(argparse.ArgumentParser):
+        def _check_value(self, action, value):
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentError(action, f"invalid choice: {value!r} "
+                                                     f"(choose from {', '.join(map(repr, action.choices))})")
+
+    def refusing(convert):
+        def read(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    parser = Parser(prog="surftop", description=_ABOUT)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_text)
+        for option, kwargs in options.items():
+            p.add_argument(option, **{**kwargs, **({"type": refusing(kwargs["type"])} if "type" in kwargs else {})})
+    args = parser.parse_args(argv)
+    if args.command == "surface" and args.name is None and None in (args.c1sq, args.c2):
+        sub.choices["surface"].error("need --name, or both --c1sq and --c2")
+    if args.command == "surface" and args.name is not None and (args.c1sq, args.c2, args.spin) != (None, None, False):
+        sub.choices["surface"].error("--name takes no --c1sq, --c2 or --spin")
+    return args
 
 
 def diag(*values: int) -> GramMatrix:

@@ -14,7 +14,7 @@ from surftop import cli, surfaces
 from surftop.cli import _GRAMMAR, _machine, main, parse_args
 from surftop.classification import IndefiniteOdd, Parity
 from surftop.errors import text_repr
-from test_cli_golden import CASES, check_rows, golden, rows, run_case
+from test_cli_golden import CASES, golden, rows, run_case
 
 
 H_OBJ = {"n": 2, "entries": [[0, 1], [1, 0]]}
@@ -262,9 +262,9 @@ def long_argvs(options):
     """(case, argv, value) for each value of one of options in an argv of
     CASES, replaced by each of its long_values; the option "" stands before
     the command word. Not derived: a value inside its option's word
-    (`--p=5`), a value after an abbreviation that argparse expands
+    (`--p=5`), a value after an abbreviation that the reader expands
     (`--var`), a value that a later repeat of its option replaces (`--p 5
-    --p 7`), a word that argparse reads as an option, not a value (`--p
+    --p 7`), a word that the reader reads as an option, not a value (`--p
     -x`, `--c1sq --c2`), and the numbers inside a Gram file, which the
     `classify 6000-digit determinant` rows pin."""
     for case, argv in CASES.items():
@@ -315,6 +315,14 @@ class TestLongArgumentsAreNotEchoed:
         assert (row["exit"], row["stdout"]) == (2, "")
         assert len(err.encode()) < 300 and err.endswith(f": unrecognized arguments: {text_repr(word)}\n"), err[:300]
 
+    def test_ambiguous_option_is_cut(self, tmp_path):
+        word = "--c=" + "x" * 5000
+        row = run_case(["surface", word], tmp_path)
+        err = row["stderr"]
+        assert (row["exit"], row["stdout"]) == (2, "")
+        assert len(err.encode()) < 300 and err.endswith(
+            f"ambiguous option: {text_repr(word)} could match --c1sq, --c2\n"), err[:300]
+
 
 class TestCapBeforePrimality:
     """A huge characteristic is refused by the cap, before any trial division."""
@@ -333,15 +341,6 @@ class TestCapBeforePrimality:
         assert "exceeds the enumeration cap" in capsys.readouterr().err
 
     test_composite_over_cap_is_usage_error = rows("usage composite over cap")
-
-
-class TestMachineOutputRoundTrip:
-    @pytest.mark.parametrize("case", ["surface K3 --json", "compare deg2 P1xP1 --json", "counterexample 3 k1 --json",
-                                      "count Bl1P2 GF(4) --json"], ids=["argv0", "argv1", "argv2", "argv3"])
-    def test_byte_identical(self, case, tmp_path):
-        check_rows(tmp_path, case)
-
-    test_classify_byte_identical = rows("classify H --json")
 
 
 class TestMachineEncoder:

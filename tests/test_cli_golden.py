@@ -3,16 +3,18 @@
 CASES maps each case name to an argv, and `tests/data/cli_golden.json`
 each case name to its exit code, stdout and full stderr. The cases are
 every command in text and --json mode, the help screens, the benchmark's
-usage and domain errors (`perfbench/jobs.py`), argv that argparse reads,
-and the argv of the command tests, which check their rows with
-`check_rows`. Every case runs through `main(argv)` and as the program,
-in a fresh process, both with COLUMNS=80 in a working directory that
-holds FILES, which argv names relatively. The rows print every error
-name the CLI can reach: all but `ZeroForm` (no shipped model vanishes
-mod p) and `InconsistentEvenSignature` (an even unimodular form has
-signature divisible by 8); test_cli.py's TestOutputHygiene checks every
-row's output. Python 3.10 to 3.13 print the same bytes. To compare every
-row in process on any interpreter, without pytest, run
+usage and domain errors (`perfbench/jobs.py`), argv off the form that
+every valid command takes, the argv that argparse before 3.13.13 reads
+otherwise, and the argv of the command tests, which check their rows
+with `check_rows`. Every case runs through `main(argv)` and as the
+program, in a fresh process, both in a working directory that holds
+FILES, which argv names relatively; the program runs with COLUMNS=40,
+which help ignores. The rows print every error name the CLI can reach:
+all but `ZeroForm` (no shipped model vanishes mod p) and
+`InconsistentEvenSignature` (an even unimodular form has signature
+divisible by 8); test_cli.py's TestOutputHygiene checks every row's
+output. Python 3.10 to 3.13 print the same bytes. To compare every row
+in process on any interpreter, without pytest, run
 
     PYTHONPATH=src python -S tests/test_cli_golden.py --check
 
@@ -30,7 +32,6 @@ import sys
 import tempfile
 from functools import cache
 from pathlib import Path
-from unittest import mock
 
 from oracles import E8, HYPERBOLIC, MINUS_E8, block_diag, diag, gram_to_dict, run_fresh
 from surftop.cli import _GRAMMAR, main
@@ -111,7 +112,7 @@ CASES = {
     "help": ["-h"],
     "help --help": ["--help"],
     **{f"help {command}": [command, "-h"] for command in _GRAMMAR},
-    # argv that argparse reads, because the direct reader declines them
+    # argv off the form that every valid command takes
     "argparse --var": ["count", "--var", "fermat4", "--p", "5"],
     "argparse --p=5": ["count", "--variety", "fermat4", "--p=5"],
     "argparse --p twice": ["count", "--variety", "fermat4", "--p", "5", "--p", "7"],
@@ -120,6 +121,10 @@ CASES = {
     "argparse --bogus": ["count", "--variety", "fermat4", "--p", "5", "--bogus"],
     "argparse --p -x": ["count", "--variety", "fermat4", "--p", "-x"],
     "argparse --c1sq --c2": ["surface", "--name", "K3", "--c1sq", "--c2", "1"],
+    # argv that argparse before 3.13.13 reads otherwise (test_cli_reader.older_argparse_differs)
+    "argv -- before the command": ["--", "count", "--variety", "fermat4", "--p", "5"],
+    "argv -hx": ["count", "-hx"],
+    "argv -h then ambiguous": ["surface", "-h", "--c=5"],
     "usage empty prime list": ["counterexample", "--primes", ""],
     "usage prime list of commas": ["counterexample", "--primes", ","],
     "usage degree 4": ["counterexample", "--primes", "3", "--degrees", "4"],
@@ -169,9 +174,9 @@ def write_files(directory: Path) -> None:
 
 
 def run_case(argv: list[str], cwd: Path) -> dict:
-    """Exit code, stdout and stderr of main(argv), run in cwd with COLUMNS=80."""
+    """Exit code, stdout and stderr of main(argv), run in cwd."""
     out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
-    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.chdir(cwd)
         try:
             code = main(list(argv))
@@ -227,7 +232,7 @@ def program_rows(tmp_path_factory):
 
     def run(argv):
         proc = run_fresh("-c", PROGRAM, *argv, cwd=gram_dir, capture_output=True,
-                         env={"COLUMNS": "80", "PYTHONIOENCODING": "utf-8"})
+                         env={"COLUMNS": "40", "PYTHONIOENCODING": "utf-8"})
         return {"exit": proc.returncode, "stdout": proc.stdout.decode(), "stderr": proc.stderr.decode()}
 
     with ThreadPoolExecutor(2) as pool:

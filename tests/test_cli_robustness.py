@@ -1,7 +1,7 @@
 """The CLI on malformed and extreme input.
 
 A Gram file that cannot be read or parsed is refused as InvalidInput
-(exit 1). Whatever the arguments, `main` returns 0, 1 or 2, argparse's
+(exit 1). Whatever the arguments, `main` returns 0, 1 or 2, help and
 usage errors included; no exception escapes and nothing prints a
 traceback. Real field sizes are drawn from q <= 49, so every call that
 gets as far as counting stays cheap; every other int is over the cap,
@@ -264,10 +264,9 @@ class TestClosedStdout:
 @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]], ids=" ".join)
 def test_help_to_closed_stdout_exits_1_and_nothing_on_stderr(argv, unbuffered):
-    """argparse prints help and raises SystemExit(0). The flush that finds
-    the reader gone used to come at interpreter exit, as exit 120 and an
-    "Exception ignored" line. Unbuffered, argparse from 3.11 on swallowed
-    the failed write itself and exited 0."""
+    """Help goes to stdout as a result does: a write or the final flush that
+    finds the reader gone ends the run with exit 1, buffered or not, and
+    not with an "Exception ignored" line at interpreter exit."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -308,7 +307,7 @@ class TestProgramExit:
             assert out.stdout == "fermat4 over GF(5): 0 points\n"
 
     def test_program_help_reaches_stdout(self):
-        # argparse writes -h into the stdout buffer; only the final flush sends it
+        # help is written into the stdout buffer; only the final flush sends it
         out = self._run(self.ATEXIT + "from surftop.cli import main; sys.exit(main())", ["count", "-h"])
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.startswith("usage: surftop count [-h]")

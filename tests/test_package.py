@@ -107,9 +107,10 @@ CLASSIFY = "classify --gram h.json"
 # what each command loads. A row is code, or an argv (split on spaces) that
 # main(argv) runs; it gives the exit code (None for code) and the start of the
 # first line of output; the surftop modules it loads beside the package; the
-# WATCHED modules it loads. A valid command is read without argparse, json is
-# loaded only to read or write JSON, a layer loads no layer it does not use,
-# and none loads rational arithmetic, dataclasses, inspect, random or __future__.
+# WATCHED modules it loads. No argv loads argparse, not even help or a usage
+# error; json is loaded only to read or write JSON, a layer loads no layer it
+# does not use, and none loads rational arithmetic, dataclasses, inspect,
+# random or __future__.
 FOOTPRINT = {
     "import surftop.classification": (None, "", "classification errors", ""),
     "import surftop.zeta as z; z.counterexample_report([2], 1)": (None, "", "errors zeta", ""),
@@ -118,9 +119,9 @@ FOOTPRINT = {
     "count --variety fermat4 --p 9": (1, "NotPrime: 9 is not prime", "cli errors zeta", ""),
     "count --variety P1xP1 --p 347": (2, "usage error: q = 347 exceeds", "cli errors zeta", ""),
     f"{COUNT} --json": (0, '{"count":0,"k":1,"p":5,"q":5,"variety":"fermat4"}', "cli errors zeta", "json"),
-    "count --var fermat4 --p 5": (0, "fermat4 over GF(5): 0 points", "cli errors zeta", "argparse"),
-    "-h": (0, "usage: surftop [-h]", "cli errors", "argparse"),
-    "frobnicate": (2, "usage: surftop [-h]", "cli errors", "argparse"),
+    "count --var fermat4 --p 5": (0, "fermat4 over GF(5): 0 points", "cli errors zeta", ""),
+    "-h": (0, "usage: surftop [-h]", "cli errors", ""),
+    "frobnicate": (2, "usage: surftop [-h]", "cli errors", ""),
     K3: (0, "deg4: c1^2 0, c2 24, spin", SURFACE, ""),
     f"{K3} --json": (0, '{"class":', SURFACE, "json"),
     "compare --a P1xP1 --b BlP2": (0, "P1xP1: c1^2 8, c2 4, spin", SURFACE, ""),
