@@ -16,19 +16,18 @@ the same bytes on every Python version, and argparse is never imported.
 
 Exit codes: 0 success or help, 1 expected domain rejections (the stable
 error name goes to stderr; an unknown surface or model name is
-InvalidInput), 2 usage errors. A reader that closes stdout before the
-result or the help is written (`surftop ... | head -1`) ends the run
-with exit 1 and nothing on stderr, no traceback. `main(argv)` returns
-every one of these codes and raises none of them. Without argv, `main()`
-(the program: the `surftop` script, `python -m surftop.cli`) flushes
-stderr and ends the process with the code through `os._exit`, skipping
-interpreter teardown; so `atexit` handlers of an embedding process do
-not run, and `coverage run -m surftop.cli` saves no data. Each runner
-returns the library's records in its payload. With --json one encoder,
-_machine, prints it in canonical form (sorted keys, no whitespace, no
-floats), so that parse + re-serialize is byte-identical; text mode
-serializes nothing. Output is plain text; nothing is colorized, so
-NO_COLOR needs no special handling.
+InvalidInput), 2 usage errors. A stream that is gone (its descriptor
+closed, `>&-`, or its pipe's reader left, `| head -1`) takes nothing
+more: a code 0 becomes 1, and nothing prints a traceback. `main(argv)`
+returns every code and raises none. Without argv, `main()` (the program:
+the `surftop` script, `python -m surftop.cli`) ends the process with the
+code through `os._exit`, skipping interpreter teardown; so `atexit`
+handlers of an embedding process do not run, and `coverage run -m
+surftop.cli` saves no data. Each runner returns the library's records in
+its payload. With --json one encoder, _machine, encodes it in canonical
+form (sorted keys, no whitespace, no floats), so that parse +
+re-serialize is byte-identical; text mode serializes nothing. Output is
+plain text; nothing is colorized, so NO_COLOR needs no special handling.
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
@@ -183,7 +182,7 @@ _HELP = ("-h", "--help")
 
 
 class _Exit(Exception):
-    """Help, (0, text for stdout), or a usage error, (2, text for stderr)."""
+    """Help, (0, help, ""), or a usage error, (2, "", the error): the outcome of _outcome."""
 
 
 def _fill(text: str, width: int) -> list[str]:
@@ -238,7 +237,7 @@ def _help(command: str | None) -> str:
 def _fail(command: str | None, message: str):
     """A usage error of command, or of the program for None, as argparse prints it."""
     prog = f"surftop {command}" if command else "surftop"
-    raise _Exit(2, f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise _Exit(2, "", f"{_usage(command)}\n{prog}: error: {message}\n")
 
 
 def _lookup(word: str, names: tuple[str, ...]) -> list[tuple] | None:
@@ -276,7 +275,7 @@ def _take(command: str | None, word: str, found: list[tuple], words, names: tupl
         _fail(command, f"argument {'-h/--help' if name in _HELP else name}: "
                        f"ignored explicit argument {text_repr(explicit)}")
     if name in _HELP:
-        raise _Exit(0, _help(command))
+        raise _Exit(0, _help(command), "")
     if explicit is None and "action" not in kwargs:
         explicit = next(words, "--")  # with no word left, as before `--`, there is no value
         if explicit == "--" or _lookup(explicit, names) is not None:
@@ -413,40 +412,41 @@ _RUNNERS = {
 }
 
 
-def _drop_stdout() -> None:
-    """The reader is gone: point stdout at devnull so that no later flush
-    fails again (the recipe in the `signal` docs)."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout text and stderr text of one command; writes nothing."""
+    try:
+        args = parse_args(argv)
+        payload, text = _RUNNERS[args.command](args)
+        return 0, (_machine(payload) if args.json else "\n".join(text)) + "\n", ""
+    except _Exit as exc:  # help (0) or a usage error (2)
+        return exc.args
+    except DomainError as exc:
+        return 1, "", f"{exc.name}: {exc}\n"
+    except ValueError as exc:
+        return 2, "", f"usage error: {exc}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. Given argv, return its exit code: every outcome,
-    help and usage errors included, comes back as a code. Without argv,
-    run sys.argv[1:] as the program: flush stderr and end the process with
-    the code, without interpreter teardown. Any other exception is a bug
-    and propagates."""
-    try:
+    """Run one command and write its outcome. A stream that is gone takes
+    nothing more, and a code 0 becomes 1. Given argv, return the code;
+    without, run sys.argv[1:] as the program and end the process with the
+    code, skipping interpreter teardown. Any other exception propagates."""
+    code, *texts = _outcome(sys.argv[1:] if argv is None else argv)
+    for stream, text in zip((sys.stdout, sys.stderr), texts):
         try:
-            args = parse_args(sys.argv[1:] if argv is None else argv)
-            payload, text = _RUNNERS[args.command](args)
-            print(_machine(payload) if args.json else "\n".join(text))
-            code = 0
-        except _Exit as exc:  # help (0) or a usage error (2)
-            code, text = exc.args
-            (sys.stderr if code else sys.stdout).write(text)
-        except DomainError as exc:
-            print(f"{exc.name}: {exc}", file=sys.stderr)
-            code = 1
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            code = 2
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
-        code = 1
+            if stream is not None:
+                stream.write(text)
+                stream.flush()
+            elif text:  # its descriptor was closed at start
+                code = code or 1
+        except OSError as exc:
+            import errno
+            if not isinstance(exc, BrokenPipeError) and exc.errno != errno.EBADF:
+                raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # so no later flush fails
+            code = code or 1
     if argv is not None:
         return code
-    sys.stderr.flush()
     os._exit(code)
 
 

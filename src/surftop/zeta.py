@@ -301,7 +301,7 @@ def counterexample_report(primes: list[int], degrees: int = 2) -> dict:
         raise ValueError("need at least one prime")
     if len(set(primes)) < len(primes):
         seen = set()
-        raise ValueError(f"prime {next(p for p in primes if p in seen or seen.add(p))} is repeated")
+        raise ValueError(f"prime {int_text(next(p for p in primes if p in seen or seen.add(p)))} is repeated")
     if not 1 <= degrees <= 3:
         raise ValueError("degrees must be between 1 and 3")
     fields = [[build_field(p, k) for k in range(1, degrees + 1)] for p in primes]

@@ -161,9 +161,3 @@ TAKEN = [row for row in ARGV_ROWS if row not in OFF_FORM]
 def test_valid_command_loads_no_argparse(row, tmp_path):
     assert "argparse" not in seen(row, tmp_path)[3]
 
-
-@pytest.mark.parametrize("row", OFF_FORM, ids=[f"{row}-{FOOTPRINT[row][0]}-{FOOTPRINT[row][1]}" for row in OFF_FORM])
-def test_argparse_loaded_only_when_the_reader_declines(row, tmp_path):
-    """The reader declines no argv, so argparse is never loaded: not for
-    help, an unknown command or an abbreviation either."""
-    assert "argparse" not in seen(row, tmp_path)[3]

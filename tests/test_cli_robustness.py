@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import run_fresh
 from strategies import huge_symmetric_rows
 from surftop.cli import main
-from test_cli_golden import check_rows
+from test_cli_golden import check_rows, golden
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 REAL_FIELDS = [(p, k) for p in SMALL_PRIMES for k in (1, 2, 3) if p**k <= 49]
@@ -244,6 +244,23 @@ class TestHugeSurfaceSums:
         check_rows(tmp_path, " ".join([case, *flags]))
 
 
+def run_gone(argv: list[str], gone: str, closed_at_start: bool = False, env: dict | None = None):
+    """The program on argv with one stream, "stdout" or "stderr", gone: a pipe
+    whose reader has closed, or its descriptor closed at start. The other
+    stream is captured as bytes."""
+    other = "stderr" if gone == "stdout" else "stdout"
+    if closed_at_start:
+        fd = 1 if gone == "stdout" else 2
+        return run_fresh("-m", "surftop.cli", *argv, env=env, preexec_fn=lambda: os.close(fd),
+                         **{other: subprocess.PIPE})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_fresh("-m", "surftop.cli", *argv, env=env, **{gone: write_end, other: subprocess.PIPE})
+    finally:
+        os.close(write_end)
+
+
 class TestClosedStdout:
     """A reader that is gone before the result is written, as in
     `surftop counterexample ... | head -1`, used to get a BrokenPipeError
@@ -251,14 +268,8 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
     def test_exit_1_and_nothing_on_stderr(self, unbuffered):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            out = run_fresh("-m", "surftop.cli", "counterexample", "--primes", "2,3,5,7",
-                            env=unbuffered, stdout=write_end, stderr=subprocess.PIPE, text=True)
-        finally:
-            os.close(write_end)
-        assert (out.returncode, out.stderr) == (1, "")
+        out = run_gone(["counterexample", "--primes", "2,3,5,7"], "stdout", env=unbuffered)
+        assert (out.returncode, out.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
@@ -267,14 +278,32 @@ def test_help_to_closed_stdout_exits_1_and_nothing_on_stderr(argv, unbuffered):
     """Help goes to stdout as a result does: a write or the final flush that
     finds the reader gone ends the run with exit 1, buffered or not, and
     not with an "Exception ignored" line at interpreter exit."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        out = run_fresh("-m", "surftop.cli", *argv, env=unbuffered, stdout=write_end, stderr=subprocess.PIPE,
-                        text=True)
-    finally:
-        os.close(write_end)
-    assert (out.returncode, out.stderr) == (1, "")
+    out = run_gone(argv, "stdout", env=unbuffered)
+    assert (out.returncode, out.stderr) == (1, b"")
+
+
+# argv: its exit code with stdout gone and with stderr gone, and the golden row of its run
+GONE_ROWS = {
+    "count --variety fermat4 --p 5": (1, 0, "argv -- before the command"),  # the same count after `--`
+    "-h": (1, 0, "help"),
+    "frobnicate": (2, 2, "usage frobnicate"),
+    "count --variety fermat4 --p 9": (1, 1, "domain NotPrime count"),
+}
+
+
+@pytest.mark.parametrize("gone, closed_at_start", [("stderr", False), ("stdout", True), ("stderr", True)],
+                         ids=["stderr pipe", "stdout closed", "stderr closed"])
+def test_gone_stream_keeps_the_code_and_the_other_stream(gone, closed_at_start):
+    """A stream that is gone, a pipe whose reader left or a descriptor closed
+    at start, takes nothing: the other stream gets its golden bytes, and only
+    a code 0 whose text is lost becomes 1. Stderr used to exit 120 on a usage
+    or domain error; a descriptor closed at start made every argv exit 1."""
+    other = "stderr" if gone == "stdout" else "stdout"
+    for argv, (*codes, case) in GONE_ROWS.items():
+        out = run_gone(argv.split(), gone, closed_at_start)
+        code = codes[gone == "stderr"]
+        assert (out.returncode, getattr(out, other)) == (code, golden()[case][other].encode()), argv
+        assert b"Traceback" not in getattr(out, other)
 
 
 class TestProgramExit:

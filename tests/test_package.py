@@ -157,14 +157,6 @@ def test_load_footprint(row, tmp_path):
 
 
 # the rules the table follows, each under its own name
-def test_surface_loads_no_zeta(tmp_path):
-    assert "zeta" not in seen(K3, tmp_path)[2]
-
-
-def test_compare_loads_no_zeta(tmp_path):
-    assert "zeta" not in seen("compare --a P1xP1 --b BlP2", tmp_path)[2]
-
-
 def test_classify_loads_no_zeta(tmp_path):
     assert "zeta" not in seen(CLASSIFY, tmp_path)[2]
 

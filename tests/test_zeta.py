@@ -309,8 +309,9 @@ class TestCounterexampleReport:
             raise AssertionError(f"GF({p}^{k}) built")
 
         monkeypatch.setattr(zeta, "build_field", no_field)
-        for primes in ([3, 5, 3], [4, 4]):
-            with pytest.raises(ValueError, match=f"^prime {primes[0]} is repeated$"):
+        n = 10**3999 + 1  # 4000 digits, named by its bit size
+        for primes, name in (([3, 5, 3], "3"), ([4, 4], "4"), ([n, n], "a number of 13285 bits")):
+            with pytest.raises(ValueError, match=f"^prime {name} is repeated$"):
                 counterexample_report(primes)
 
     def test_non_prime_propagates(self):
