@@ -27,7 +27,8 @@ surftop.cli` saves no data. Each runner returns the library's records in
 its payload. With --json one encoder, _machine, encodes it in canonical
 form (sorted keys, no whitespace, no floats), so that parse +
 re-serialize is byte-identical; text mode serializes nothing. Output is
-plain text; nothing is colorized, so NO_COLOR needs no special handling.
+plain text, never colorized (NO_COLOR needs no handling); a character
+stdout's encoding lacks goes out as a backslash escape, as on stderr.
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
@@ -435,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
     for stream, text in zip((sys.stdout, sys.stderr), texts):
         try:
             if stream is not None:
-                stream.write(text)
+                encoding = getattr(stream, "encoding", None) or "utf-8"
+                stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
                 stream.flush()
             elif text:  # its descriptor was closed at start
                 code = code or 1

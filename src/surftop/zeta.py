@@ -269,12 +269,8 @@ def fermat_form(d: int) -> dict[tuple[int, int, int, int], int]:
     }
 
 
-# shipped countable models: variety id -> (catalog surface, fermat degree or None)
-MODELS = {
-    "P1xP1": ("P1xP1", None),
-    "Bl1P2": ("Bl1P2", None),
-    **{f"fermat{d}": (f"deg{d}", d) for d in range(1, 7)},
-}
+# shipped countable models: variety id -> fermat degree, or None
+MODELS = {"P1xP1": None, "Bl1P2": None, **{f"fermat{d}": d for d in range(1, 7)}}
 
 
 def count_variety(variety: str, field: FiniteField) -> PointCount:
@@ -285,8 +281,7 @@ def count_variety(variety: str, field: FiniteField) -> PointCount:
         return count_p1xp1(field)
     if variety == "Bl1P2":
         return count_blowup_p2(field)
-    d = MODELS[variety][1]
-    return count_hypersurface_p3(fermat_form(d), field, variety=variety)
+    return count_hypersurface_p3(fermat_form(MODELS[variety]), field, variety=variety)
 
 
 def counterexample_report(primes: list[int], degrees: int = 2) -> dict:

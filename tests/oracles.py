@@ -5,20 +5,20 @@ algorithm: determinants by memoized cofactor expansion instead of
 Bareiss, the elimination pass one pivot per step where production
 takes three at once, signatures by characteristic-polynomial sign
 counting instead of congruence diagonalization, parity by brute
-evaluation of Q(x,x) mod 2, and point counts by chart-by-chart nested
-loops with no caching (hypersurfaces in P3) or over every point pair
-(the P1xP1 and Bl1P2 models in P2 x P1), where production counts
-separable equations by value distributions. The point counts do their
-field arithmetic in OracleField, built from p, k and the modulus alone,
-so a fault in the production field cannot show up on both sides of a
-comparison. Value
-distributions themselves have a slow path: orbit_hist and
-projective_zeros build and convolve histograms over every field
-element, multiplying, adding and negating in OracleField too, where
-production convolves class functions over cyclotomic classes, O(q^2)
-field additions per step against O(e^3) integer products. Seeded unimodular mixes are replayed by the whole-matrix loop
-that the O(n) addition step of strategies.random_unimodular_transform
-replaced.
+evaluation of Q(x,x) mod 2, and point counts by evaluating the
+equation with no caching at every point of P3 (hypersurfaces) or at
+every pair of points of P2 x P1 (the P1xP1 and Bl1P2 models), where
+production counts separable equations by value distributions. The
+point counts do their field arithmetic in OracleField, built from p, k
+and the modulus alone, so a fault in the production field cannot show
+up on both sides of a comparison. A value distribution is checked
+against its definition: term_histogram counts the values of c x^d at
+every field element, and projective_zeros convolves such histograms
+under OracleField.add, where production reads each term's class
+function off the coset of c and convolves over cyclotomic classes,
+O(q^2) field additions per step against O(e^3) integer products.
+Seeded unimodular mixes are replayed by the whole-matrix loop that the
+O(n) addition step of strategies.random_unimodular_transform replaced.
 
 Powers are taken by power, square-and-multiply through the mul of
 whichever field it is given. Two checks stand beside them:
@@ -36,7 +36,8 @@ MINUS_E8 and HYPERBOLIC build Gram matrices, gram_to_dict writes one
 as the JSON object of a Gram file, run_fresh starts the surftop under
 test in a fresh interpreter, canonical_gram realizes a class as
 one, forms_isomorphic compares two forms through the production
-classification, and projective_points enumerates P^n. No command needs
+classification, and projective_points enumerates P^n over either field
+for every oracle that enumerates points. No command needs
 them, so they live with the tests that build inputs and round-trip
 classes with them.
 """
@@ -57,7 +58,7 @@ from surftop.classification import (ClassificationMode, DefiniteDiagonal, FormCl
                                     IndefiniteOdd, classify_form)
 from surftop.cli import _ABOUT, _GRAMMAR
 from surftop.lattice import GramMatrix, determinant, invariants
-from surftop.zeta import MODELS, FiniteField, PointCount
+from surftop.zeta import MODELS, PointCount
 
 
 def cofactor_determinant(rows) -> int:
@@ -275,7 +276,7 @@ def power(field, a, n: int):
 
 
 def naive_affine_chart_count(coeffs, field) -> int:
-    """Projective zero count by nested loops over the four standard charts.
+    """Projective zero count at every representative of P3.
 
     Deliberately cache-free: every monomial is evaluated by repeated
     multiplication, term by term, in an OracleField with field's p, k
@@ -284,33 +285,25 @@ def naive_affine_chart_count(coeffs, field) -> int:
     f = OracleField(field.p, field.k, field.modulus)
     reduced = [(e, c % f.p) for e, c in sorted(coeffs.items()) if c % f.p]
     total = 0
-    for pivot in range(4):
-        for tail in itertools.product(f.elements, repeat=3 - pivot):
-            pt = (f.zero,) * pivot + (f.one,) + tail
-            acc = f.zero
-            for exps, c in reduced:
-                term = f.from_int(c)
-                for x, e in zip(pt, exps):
-                    for _ in range(e):
-                        term = f.mul(term, x)
-                acc = f.add(acc, term)
-            if acc == f.zero:
-                total += 1
+    for pt in projective_points(f, 3):
+        acc = f.zero
+        for exps, c in reduced:
+            term = f.from_int(c)
+            for x, e in zip(pt, exps):
+                for _ in range(e):
+                    term = f.mul(term, x)
+            acc = f.add(acc, term)
+        if acc == f.zero:
+            total += 1
     return total
 
 
 def _naive_pair_count(field, holds) -> int:
-    """Pairs (x, y) of chart representatives of P2 x P1 with holds(f, x, y),
+    """Pairs (x, y) of representatives of P2 x P1 with holds(f, x, y),
     in an OracleField f with field's p, k and modulus."""
     f = OracleField(field.p, field.k, field.modulus)
-
-    def reps(n):
-        for pivot in range(n + 1):
-            for tail in itertools.product(f.elements, repeat=n - pivot):
-                yield (f.zero,) * pivot + (f.one,) + tail
-
-    lines = list(reps(1))
-    return sum(1 for x in reps(2) for y in lines if holds(f, x, y))
+    lines = list(projective_points(f, 1))
+    return sum(1 for x in projective_points(f, 2) for y in lines if holds(f, x, y))
 
 
 def naive_blowup_count(field) -> int:
@@ -325,28 +318,18 @@ def naive_p1xp1_count(field) -> int:
     return _naive_pair_count(field, lambda f, x, y: x[2] == f.zero)
 
 
-def orbit_hist(field, reps: Counter, dth: Counter) -> Counter:
-    """Histogram over A^m of a form g of degree d >= 1 in m variables.
-
-    reps counts the values of g on the representatives x of P^(m-1), and
-    dth counts lambda^d over the units lambda: the nonzero points of A^m
-    are the lambda x, where g is lambda^d g(x), and the origin is a zero.
-    Products are OracleField's.
-    """
-    mul = OracleField(field.p, field.k, field.modulus).mul
-    hist = Counter({field.zero: 1 + (field.q - 1) * reps[field.zero]})
-    for v, r in reps.items():
-        if v != field.zero:
-            for w, n in dth.items():
-                hist[mul(v, w)] += r * n
-    return hist
+def term_histogram(field, c, d: int) -> Counter:
+    """The values of c x^d at every x of GF(q), counted, with field's p, k
+    and modulus: powers by power and products by OracleField.mul."""
+    o = OracleField(field.p, field.k, field.modulus)
+    return Counter(o.mul(c, power(o, x, d)) for x in o.elements)
 
 
 def projective_zeros(field, hists) -> int:
-    """Zeros in projective space of a homogeneous f_1(x_B1) + ... + f_n(x_Bn).
+    """Zeros in projective space of a homogeneous f_1(x_1) + ... + f_n(x_n).
 
-    Each f_i is given as the histogram of its values over the affine space
-    of its own block B_i of variables. The histograms are convolved under
+    Each f_i is given as the histogram of its values at every x_i in
+    GF(q), as term_histogram counts them. The histograms are convolved under
     OracleField.add, smallest support first; the last one is only paired
     against the partial sums negated by OracleField.neg, since only the
     weight N_aff of the total at 0 is needed: the N_aff - 1 nonzero zeros
@@ -367,14 +350,15 @@ def projective_zeros(field, hists) -> int:
 
 
 def model_surface_name(variety: str) -> str:
-    """Catalog surface carrying the Betti data of a countable model."""
-    return MODELS[variety][0]
+    """Catalog surface carrying the Betti data of a countable model: P1xP1
+    and Bl1P2 carry themselves, and fermat<d> carries deg<d>."""
+    return variety.replace("fermat", "deg")
 
 
 def model_has_good_reduction(variety: str, p: int) -> bool:
     """True when the shipped model is smooth mod p (Fermat: p does not divide d)."""
-    d = MODELS[variety][1]
-    return True if d is None else d % p != 0
+    d = MODELS[variety]
+    return d is None or d % p != 0
 
 
 def brute_force_isometry(
@@ -557,9 +541,12 @@ def forms_isomorphic(a: GramMatrix, b: GramMatrix, mode: ClassificationMode) -> 
     return classify_form(invariants(a), mode) == classify_form(invariants(b), mode)
 
 
-def projective_points(field: FiniteField, n: int):
-    """Normalized representatives of P^n: first nonzero coordinate is 1."""
+def projective_points(field, n: int):
+    """Normalized representatives of P^n over a FiniteField or an OracleField,
+    whose elements are the same coefficient tuples: first nonzero coordinate
+    is 1."""
+    elements = list(itertools.product(range(field.p), repeat=field.k))
     for pivot in range(n + 1):
         prefix = (field.zero,) * pivot + (field.one,)
-        for tail in itertools.product(field.elements(), repeat=n - pivot):
+        for tail in itertools.product(elements, repeat=n - pivot):
             yield prefix + tail

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import run_fresh
 from strategies import huge_symmetric_rows
 from surftop.cli import main
-from test_cli_golden import check_rows, golden
+from test_cli_golden import check_rows, golden, run_case
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 REAL_FIELDS = [(p, k) for p in SMALL_PRIMES for k in (1, 2, 3) if p**k <= 49]
@@ -304,6 +304,20 @@ def test_gone_stream_keeps_the_code_and_the_other_stream(gone, closed_at_start):
         code = codes[gone == "stderr"]
         assert (out.returncode, getattr(out, other)) == (code, golden()[case][other].encode()), argv
         assert b"Traceback" not in getattr(out, other)
+
+
+@pytest.mark.parametrize("enc", ["ascii", "latin-1"])
+def test_stdout_escapes_what_its_encoding_lacks(enc, tmp_path):
+    """A character that stdout's encoding cannot write (⟨, ⟩, ⊕) goes out as
+    a backslash escape, as on stderr, and the code stays 0. It used to end
+    the run with exit 1, no stdout and a UnicodeEncodeError traceback."""
+    for argv in (["surface", "--name", "P2"], ["compare", "--a", "P2", "--b", "P1xP1"],
+                 ["counterexample", "--primes", "3"]):
+        out = run_fresh("-m", "surftop.cli", *argv, env={"PYTHONIOENCODING": enc}, capture_output=True)
+        assert (out.returncode, out.stderr) == (0, b""), (argv, out.stderr[-300:])
+        assert out.stdout == run_case(argv, tmp_path)["stdout"].encode(enc, "backslashreplace"), argv
+        if argv[0] == "surface":
+            assert out.stdout.endswith(b"  intersection form: \\u27e81\\u27e9\n")
 
 
 class TestProgramExit:

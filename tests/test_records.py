@@ -25,29 +25,32 @@ from surftop.lattice import GramMatrix, invariants
 from surftop.surfaces import SurfaceData, SurfaceInvariants
 from surftop.zeta import PointCount
 
-# (class, field names, field values, repr)
+# (class, field names, field values, repr, a second valid value of the last field)
 RECORDS = [
-    (GramMatrix, ["entries"], [((0, 1), (1, 0))], "GramMatrix(entries=((0, 1), (1, 0)))"),
+    (GramMatrix, ["entries"], [((0, 1), (1, 0))], "GramMatrix(entries=((0, 1), (1, 0)))", ((0, 1), (1, 1))),
     (
         FormInvariants,
         ["rank", "b_plus", "b_minus", "signature", "parity", "determinant"],
         [2, 1, 1, 0, Parity.ODD, -1],
         "FormInvariants(rank=2, b_plus=1, b_minus=1, signature=0, "
         "parity=<Parity.ODD: 'odd'>, determinant=-1)",
+        -3,
     ),
-    (IndefiniteOdd, ["n_plus", "n_minus"], [1, 2], "IndefiniteOdd(n_plus=1, n_minus=2)"),
+    (IndefiniteOdd, ["n_plus", "n_minus"], [1, 2], "IndefiniteOdd(n_plus=1, n_minus=2)", 3),
     (
         IndefiniteEven,
         ["e8_signed_count", "h_count"],
         [-1, 3],
         "IndefiniteEven(e8_signed_count=-1, h_count=3)",
+        4,
     ),
-    (DefiniteDiagonal, ["sign", "rank"], [-1, 4], "DefiniteDiagonal(sign=-1, rank=4)"),
+    (DefiniteDiagonal, ["sign", "rank"], [-1, 4], "DefiniteDiagonal(sign=-1, rank=4)", 5),
     (
         SurfaceData,
         ["name", "c1_sq", "c2", "spin"],
         ["P1xP1", 8, 4, True],
         "SurfaceData(name='P1xP1', c1_sq=8, c2=4, spin=True)",
+        False,
     ),
     (
         SurfaceInvariants,
@@ -55,15 +58,16 @@ RECORDS = [
         [2, 0, Parity.EVEN, 1, 1, 1],
         "SurfaceInvariants(b2=2, sigma=0, parity=<Parity.EVEN: 'even'>, "
         "b_plus=1, b_minus=1, chi_holo=1)",
+        2,
     ),
-    (PointCount, ["variety", "q", "count"], ["P1xP1", 4, 25], "PointCount(variety='P1xP1', q=4, count=25)"),
+    (PointCount, ["variety", "q", "count"], ["P1xP1", 4, 25], "PointCount(variety='P1xP1', q=4, count=25)", 26),
 ]
 # records whose attributes are a per-instance dict, which cli and class_to_dict read
 WITH_VARS = {GramMatrix, FormInvariants, IndefiniteOdd, IndefiniteEven, DefiniteDiagonal,
              SurfaceData, SurfaceInvariants}
 
 each_record = pytest.mark.parametrize(
-    "cls,names,values,text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+    "cls,names,values,text", [r[:4] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS]
 )
 
 
@@ -105,13 +109,16 @@ def test_repeated_field_is_a_type_error(cls, names, values, text):
         cls(*values, **{names[0]: values[0]})
 
 
-@each_record
-def test_equal_values_have_equal_hashes(cls, names, values, text):
+@pytest.mark.parametrize("cls,values,other", [(r[0], r[2], r[4]) for r in RECORDS],
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_equal_values_have_equal_hashes(cls, values, other):
     a, b = cls(*values), cls(*copy.deepcopy(values))
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    c = cls(*values[:-1], other)  # differs from a in the last field alone
+    assert a != c and not a == c
 
 
 @each_record
@@ -134,14 +141,14 @@ def test_copy_and_pickle_round_trip(cls, names, values, text):
         assert b == a and type(b) is cls and repr(b) == text
 
 
-@pytest.mark.parametrize("cls,names,values,text", [r for r in RECORDS if r[0] in WITH_VARS],
+@pytest.mark.parametrize("cls,names,values,text", [r[:4] for r in RECORDS if r[0] in WITH_VARS],
                          ids=[r[0].__name__ for r in RECORDS if r[0] in WITH_VARS])
 def test_vars_lists_the_fields_in_order(cls, names, values, text):
     assert list(vars(cls(*values)).items()) == list(zip(names, values))
 
 
 def test_records_of_different_classes_differ():
-    instances = [cls(*values) for cls, _, values, _ in RECORDS]
+    instances = [cls(*values) for cls, _, values, *_ in RECORDS]
     for i, a in enumerate(instances):
         for j, b in enumerate(instances):
             assert (a == b) is (i == j)
