@@ -1,24 +1,24 @@
 """Independent verification paths used only by the tests.
 
 Each oracle recomputes a production quantity through a different
-algorithm: determinants by memoized cofactor expansion instead of
-Bareiss, the elimination pass one pivot per step where production
-takes three at once, signatures by characteristic-polynomial sign
-counting instead of congruence diagonalization, parity by brute
-evaluation of Q(x,x) mod 2, and point counts by evaluating the
-equation with no caching at every point of P3 (hypersurfaces) or at
-every pair of points of P2 x P1 (the P1xP1 and Bl1P2 models), where
-production counts separable equations by value distributions. The
-point counts do their field arithmetic in OracleField, built from p, k
-and the modulus alone, so a fault in the production field cannot show
-up on both sides of a comparison. A value distribution is checked
-against its definition: term_histogram counts the values of c x^d at
-every field element, and projective_zeros convolves such histograms
-under OracleField.add, where production reads each term's class
-function off the coset of c and convolves over cyclotomic classes,
-O(q^2) field additions per step against O(e^3) integer products.
-Seeded unimodular mixes are replayed by the whole-matrix loop that the
-O(n) addition step of strategies.random_unimodular_transform replaced.
+algorithm: determinants and signatures both from the characteristic
+polynomial, by the Faddeev-LeVerrier recurrence instead of Bareiss
+elimination, the elimination pass one pivot per step where production
+takes three at once, parity by brute evaluation of Q(x,x) mod 2, and
+point counts by evaluating the equation with no caching at every point
+of P3 (hypersurfaces) or at every pair of points of P2 x P1 (the P1xP1
+and Bl1P2 models), where production counts separable equations by
+value distributions. The point counts do their field arithmetic in
+OracleField, built from p, k and the modulus alone, so a fault in the
+production field cannot show up on both sides of a comparison. A value
+distribution is checked against its definition: term_histogram counts
+the values of c x^d at every field element, and projective_zeros
+convolves such histograms under OracleField.add, where production
+reads each term's class function off the coset of c and convolves over
+cyclotomic classes, O(q^2) field additions per step against O(e^3)
+integer products. Seeded unimodular mixes are replayed by the
+whole-matrix loop that the O(n) addition step of
+strategies.random_unimodular_transform replaced.
 
 Powers are taken by power, square-and-multiply through the mul of
 whichever field it is given. Two checks stand beside them:
@@ -50,37 +50,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from functools import lru_cache
 from pathlib import Path
 
 import surftop
 from surftop.classification import (ClassificationMode, DefiniteDiagonal, FormClass, IndefiniteEven,
                                     IndefiniteOdd, classify_form)
 from surftop.cli import _ABOUT, _GRAMMAR
-from surftop.lattice import GramMatrix, determinant, invariants
+from surftop.lattice import GramMatrix, invariants
 from surftop.zeta import MODELS, PointCount
-
-
-def cofactor_determinant(rows) -> int:
-    """Cofactor (Laplace) expansion along rows, memoized over column sets."""
-    n = len(rows)
-    entries = tuple(tuple(r) for r in rows)
-
-    @lru_cache(maxsize=None)
-    def minor(mask: int) -> int:
-        cols = [j for j in range(n) if mask & (1 << j)]
-        if not cols:
-            return 1
-        i = n - len(cols)
-        acc = 0
-        sign = 1
-        for j in cols:
-            if entries[i][j]:
-                acc += sign * entries[i][j] * minor(mask & ~(1 << j))
-            sign = -sign
-        return acc
-
-    return minor((1 << n) - 1)
 
 
 def one_pivot_elimination(rows) -> tuple[int, int, int]:
@@ -155,13 +132,6 @@ def full_copy_unimodular_mix(rows, seed: int, steps: int, max_entry: int):
     return a
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
 def _pmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -171,35 +141,22 @@ def _pmul(a, b):
     return tuple(out)
 
 
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
 def char_poly(rows) -> tuple[int, ...]:
-    """Coefficients of det(xI - M), ascending degree, exact integers."""
+    """Coefficients of det(xI - M), ascending degree, exact integers, by the
+    Faddeev-LeVerrier recurrence: N_1 = I, c_{n-k} = -tr(M N_k) / k, each
+    division checked to be exact, and N_{k+1} = M N_k + c_{n-k} I."""
     n = len(rows)
-    entries = tuple(
-        tuple(
-            (-rows[i][j], 1) if i == j else (-rows[i][j],) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-    @lru_cache(maxsize=None)
-    def minor(mask: int):
-        cols = [j for j in range(n) if mask & (1 << j)]
-        if not cols:
-            return (1,)
-        i = n - len(cols)
-        acc = (0,)
-        sign = 1
-        for j in cols:
-            term = _pmul(entries[i][j], minor(mask & ~(1 << j)))
-            acc = _padd(acc, term if sign > 0 else _pneg(term))
-            sign = -sign
-        return acc
-
-    return minor((1 << n) - 1)
+    coeffs, nk = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*nk))
+        nk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+        c, r = divmod(-sum(nk[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError(f"tr(M N_{k}) is not divisible by {k}")
+        coeffs.append(c)
+        for i in range(n):
+            nk[i][i] += c
+    return tuple(reversed(coeffs))
 
 
 def _sign_variations(coeffs) -> int:
@@ -207,17 +164,17 @@ def _sign_variations(coeffs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def signature_by_charpoly(rows) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a symmetric integer matrix.
+def charpoly_invariants(rows) -> tuple[int, int, int]:
+    """(b_plus, b_minus, determinant) of a symmetric integer matrix, read
+    off its characteristic polynomial p.
 
-    The characteristic polynomial of a symmetric matrix has only real
-    roots, so Descartes' sign count is exact: positive roots are the sign
-    variations of p(x), negative roots those of p(-x).
+    p has only real roots, so Descartes' sign count is exact: positive roots
+    are the sign variations of p(x), negative roots those of p(-x). The
+    determinant is (-1)^n p(0).
     """
     p = char_poly(rows)
-    pos = _sign_variations(p)
-    neg = _sign_variations(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p)))
-    return pos, neg
+    p_of_minus_x = tuple(c if i % 2 == 0 else -c for i, c in enumerate(p))
+    return _sign_variations(p), _sign_variations(p_of_minus_x), (-1) ** len(rows) * p[0]
 
 
 def parity_by_enumeration(rows) -> str:
@@ -402,10 +359,9 @@ def brute_force_isometry(
             cols.append(v)
             a_cols.append(av)
             if i + 1 == n:
-                # det(P^T P) = det(P)^2, so P is unimodular iff this is 1
-                gram = tuple(tuple(sum(x * y for x, y in zip(u, v)) for v in cols) for u in cols)
-                if determinant(GramMatrix(gram)) == 1:
-                    return tuple(zip(*cols))
+                p = tuple(zip(*cols))
+                if abs(char_poly(p)[0]) == 1:  # det P = (-1)^n p(0)
+                    return p
             else:
                 found = extend(i + 1)
                 if found is not None:

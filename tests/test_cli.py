@@ -28,14 +28,6 @@ class TestParseArgs:
         assert args.smooth is False
         assert args.json is False
 
-    def test_compare(self):
-        args = parse_args(["compare", "--a", "P1xP1", "--b", "BlP2"])
-        assert (args.command, args.a, args.b) == ("compare", "P1xP1", "BlP2")
-
-    def test_primes_parsing(self):
-        args = parse_args(["counterexample", "--primes", "2,3,5"])
-        assert args.primes == [2, 3, 5]
-
     test_missing_required_exits_2 = rows("usage classify")
     test_no_subcommand_exits_2 = rows("usage")
     test_bad_primes_exit_2 = rows("usage empty prime list", "usage counterexample --primes 2,x",

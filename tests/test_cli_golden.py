@@ -125,6 +125,7 @@ CASES = {
     "argv -- before the command": ["--", "count", "--variety", "fermat4", "--p", "5"],
     "argv -hx": ["count", "-hx"],
     "argv -h then ambiguous": ["surface", "-h", "--c=5"],
+    "argv -=x": ["count", "--variety", "fermat4", "--p", "5", "-=x"],
     "usage empty prime list": ["counterexample", "--primes", ""],
     "usage prime list of commas": ["counterexample", "--primes", ","],
     "usage degree 4": ["counterexample", "--primes", "3", "--degrees", "4"],

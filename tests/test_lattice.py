@@ -11,13 +11,13 @@ from oracles import (
     MINUS_E8,
     block_diag,
     brute_force_isometry,
-    cofactor_determinant,
+    char_poly,
+    charpoly_invariants,
     diag,
     full_copy_unimodular_mix,
     gram_to_dict,
     one_pivot_elimination,
     parity_by_enumeration,
-    signature_by_charpoly,
 )
 from strategies import (
     DEFAULT_ENTRY_CAP,
@@ -32,6 +32,16 @@ from surftop.lattice import MAX_ELIMINATION_WORK, GramMatrix, determinant, invar
 H = HYPERBOLIC
 
 
+def _block_mix(rng: random.Random, rank: int, seed: int, blocks) -> GramMatrix:
+    """A block sum of the given rank drawn by rng from blocks, mixed by seed."""
+    chosen, left = [], rank
+    while left:
+        b = rng.choice([b for b in blocks if b.n <= left])
+        chosen.append(b)
+        left -= b.n
+    return random_unimodular_transform(block_diag(*chosen), seed, steps=40)
+
+
 def _deep_forms(count: int, max_rank: int = 12) -> list[GramMatrix]:
     """Seeded block sums of H, E8, <0> and <+-1> up to max_rank, each under
     a seeded unimodular change of basis. The first two are fixed so that
@@ -44,13 +54,13 @@ def _deep_forms(count: int, max_rank: int = 12) -> list[GramMatrix]:
     ]
     rng = random.Random(12)
     for seed in range(count - len(forms)):
-        blocks, left = [], rng.randint(1, max_rank)
-        while left:
-            b = rng.choice([b for b in (H, E8, diag(0), diag(1), diag(-1)) if b.n <= left])
-            blocks.append(b)
-            left -= b.n
-        forms.append(random_unimodular_transform(block_diag(*blocks), seed, steps=40))
+        forms.append(_block_mix(rng, rng.randint(1, max_rank), seed, (H, E8, diag(0), diag(1), diag(-1))))
     return forms
+
+
+# at the benchmark's classify ranks 26 and 40; the second holds <0> blocks
+WIDE_FORMS = [_block_mix(random.Random(26), 26, 26, (H, E8, diag(1), diag(-1))),
+              _block_mix(random.Random(40), 40, 40, (H, E8, diag(0), diag(1), diag(-1)))]
 
 
 class TestGramMatrix:
@@ -105,8 +115,9 @@ class TestDeterminant:
     def test_hyperbolic(self):
         assert determinant(H) == -1
 
-    def test_e8_against_cofactor_oracle(self):
-        assert cofactor_determinant(E8.entries) == 1
+    def test_e8_against_charpoly_oracle(self):
+        assert charpoly_invariants(E8.entries) == (8, 0, 1)
+        assert char_poly(H.entries) == (-1, 0, 1)
         assert determinant(E8) == 1
 
     def test_empty_form(self):
@@ -117,8 +128,8 @@ class TestDeterminant:
         assert determinant(GramMatrix(((1, 1), (1, 1)))) == 0
 
     @given(gram_matrices(max_rank=5))
-    def test_matches_cofactor_expansion(self, m):
-        assert determinant(m) == cofactor_determinant(m.entries)
+    def test_matches_charpoly_determinant(self, m):
+        assert determinant(m) == charpoly_invariants(m.entries)[2]
 
 
 class TestEliminationWorkCap:
@@ -193,7 +204,7 @@ class TestInvariants:
     def test_e8_sign_flipped(self):
         inv = invariants(MINUS_E8)
         assert inv == FormInvariants(8, 0, 8, -8, Parity.EVEN, 1)
-        assert signature_by_charpoly(MINUS_E8.entries) == (0, 8)
+        assert charpoly_invariants(MINUS_E8.entries) == (0, 8, 1)
 
     def test_degenerate_reports_smaller_inertia(self):
         inv = invariants(diag(1, 0, -1))
@@ -204,9 +215,7 @@ class TestInvariants:
     def test_zero_pivot_with_offdiagonal(self):
         # leading entry 0 forces the pivot-repair path
         m = GramMatrix(((0, 1, 0), (1, -2, 1), (0, 1, 3)))
-        pos, neg = signature_by_charpoly(m.entries)
-        inv = invariants(m)
-        assert (inv.b_plus, inv.b_minus) == (pos, neg)
+        assert lattice._eliminate(m) == charpoly_invariants(m.entries)
 
     def test_rank_zero_conventions(self):
         inv = invariants(GramMatrix(()))
@@ -223,11 +232,9 @@ class TestInvariants:
         assert invariants(m).determinant == -1
         assert len(calls) == 1 and calls[0] is m
 
-    @pytest.mark.parametrize("m", _deep_forms(20), ids=lambda m: f"rank{m.n}")
+    @pytest.mark.parametrize("m", _deep_forms(20) + WIDE_FORMS, ids=lambda m: f"rank{m.n}")
     def test_deep_ranks_match_oracles(self, m):
-        inv = invariants(m)
-        assert inv.determinant == cofactor_determinant(m.entries)
-        assert (inv.b_plus, inv.b_minus) == signature_by_charpoly(m.entries)
+        assert lattice._eliminate(m) == charpoly_invariants(m.entries)
 
     @given(gram_matrices(max_rank=9, min_entry=-2, max_entry=2))
     @settings(max_examples=300)
@@ -251,17 +258,13 @@ class TestInvariants:
     ], ids=["zero-2nd-pivot", "zero-3rd-pivot", "repair-after-block", "kernel-after-block"])
     def test_zero_pivots_around_a_block(self, rows):
         m = GramMatrix(rows)
-        assert lattice._eliminate(m) == one_pivot_elimination(rows)
-        inv = invariants(m)
-        assert inv.determinant == cofactor_determinant(rows)
-        assert (inv.b_plus, inv.b_minus) == signature_by_charpoly(rows)
+        assert lattice._eliminate(m) == one_pivot_elimination(rows) == charpoly_invariants(rows)
 
     @given(gram_matrices(max_rank=4))
     def test_signature_matches_charpoly_signs(self, m):
         inv = invariants(m)
-        pos, neg = signature_by_charpoly(m.entries)
-        assert (inv.b_plus, inv.b_minus) == (pos, neg)
-        assert inv.signature == pos - neg
+        assert (inv.b_plus, inv.b_minus, inv.determinant) == charpoly_invariants(m.entries)
+        assert inv.signature == inv.b_plus - inv.b_minus
 
     @given(gram_matrices(max_rank=4))
     def test_self_consistency(self, m):
@@ -296,7 +299,7 @@ class TestOnePass:
     def test_determinant_after_invariants_matches_cofactor(self, m, passes):
         m = GramMatrix(m.entries)  # a new object, whatever ran on the shared one
         invariants(m)
-        assert determinant(m) == cofactor_determinant(m.entries)
+        assert determinant(m) == charpoly_invariants(m.entries)[2]
         assert len(passes) == 1
 
     def test_equal_but_distinct_form_runs_its_own_pass(self, passes):
@@ -431,7 +434,7 @@ class TestBruteForceIsometry:
         p = brute_force_isometry(diag(1, -1), b, 5)
         assert p is not None
         assert _congruent(diag(1, -1), p) == b.entries
-        assert cofactor_determinant(p) in (1, -1)
+        assert char_poly(p)[0] in (1, -1)
 
     def test_skips_non_unimodular_candidates(self):
         # every P maps <0> to <0>; the search order tries (-2) before (-1)

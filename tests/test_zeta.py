@@ -254,15 +254,6 @@ class TestWeilBound:
         assert not weil_bound_check(PointCount("x", 3, 0), 1)
 
 
-class TestRecordBehaviour:
-    """What callers see of the zeta record, whatever implements it."""
-
-    @pytest.mark.parametrize("attr", ["count"])
-    def test_point_count_is_read_only(self, attr):
-        with pytest.raises(AttributeError):
-            setattr(PointCount("v", 2, 1), attr, 0)
-
-
 class TestCounterexampleReport:
     def test_primes_3_degrees_2(self):
         report = counterexample_report([3], degrees=2)
