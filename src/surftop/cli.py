@@ -4,15 +4,20 @@ Subcommands map one-to-one onto library operations: `classify` a Gram
 matrix file, `surface` invariants by catalog name or raw numbers,
 `compare` two surfaces for oriented homeomorphism, `counterexample` for
 the equal-zeta / different-topology demonstration, and `count` points of
-a shipped model over GF(p^k). Each runner imports the layers it uses
-when it runs, so a command loads only those: `count` loads `zeta` alone.
+a shipped model over GF(p^k). This module holds what every command
+runs: the reader, the encoder and the `count` runner. The other runners
+(cli_gram for `classify`, cli_surfaces for the rest) and the help writer
+(cli_help) are imported when they run, and each runner imports the layers
+it uses, so a command loads only those: `count` loads `zeta` alone, and
+only `classify` loads json, to read its Gram file.
 
 One table, _GRAMMAR, gives every option as argparse keyword arguments.
 One reader, parse_args, reads every argv from it as argparse of Python
 3.13.13 reads it (a unique prefix, `--opt=value`, a repeat, `--`, -h
-anywhere), and writes help and usage errors in argparse's wording at 80
-columns, each echoed word past 40 characters cut (int_text, text_repr):
-the same bytes on every Python version, and argparse is never imported.
+anywhere), and cli_help writes help and usage errors in argparse's
+wording at 80 columns, each echoed word past 40 characters cut
+(int_text, text_repr): the same bytes on every Python version, and
+argparse is never imported.
 
 Exit codes: 0 success or help, 1 expected domain rejections (the stable
 error name goes to stderr; an unknown surface or model name is
@@ -24,29 +29,23 @@ the `surftop` script, `python -m surftop.cli`) ends the process with the
 code through `os._exit`, skipping interpreter teardown; so `atexit`
 handlers of an embedding process do not run, and `coverage run -m
 surftop.cli` saves no data. Each runner returns the library's records in
-its payload. With --json one encoder, _machine, encodes it in canonical
-form (sorted keys, no whitespace, no floats), so that parse +
-re-serialize is byte-identical; text mode serializes nothing. Output is
-plain text, never colorized (NO_COLOR needs no handling); a character
-stdout's encoding lacks goes out as a backslash escape, as on stderr.
-
-Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
-with integers parsed exactly, up to Python's default limit of 4300
-digits per integer. At most MAX_GRAM_CHARS (2**24) characters are read;
-a longer file, or one that cannot be read or parsed, is refused as
-InvalidInput. Opening the file never waits (O_NONBLOCK, where the
-platform has it): a FIFO that no writer opens within GRAM_WAIT_S (3)
-seconds is refused as InvalidInput. A writer that opens the FIFO and
-never writes still blocks the read, as it would block `cat`.
+its payload. With --json one encoder, _machine, writes it in canonical
+form (sorted keys, no whitespace, no floats, ASCII), as json.dumps with
+sort_keys and the tightest separators writes it, without importing json:
+so parse + re-serialize is byte-identical; text mode serializes nothing.
+Output is plain text, never colorized (NO_COLOR needs no handling); a
+character stdout's encoding lacks goes out as a backslash escape, as on
+stderr.
 """
 
 import os
 import sys
 from enum import Enum
+from importlib import import_module
 from types import SimpleNamespace
 
 from . import Record
-from .errors import DomainError, InvalidInputError, int_text, text_repr
+from .errors import DomainError, int_text, text_repr
 
 
 # about 20 times the largest compact Gram file whose elimination MAX_ELIMINATION_WORK admits
@@ -66,64 +65,37 @@ def _plain(obj):
     return class_to_dict(obj) if isinstance(obj, FormClass) else vars(obj)
 
 
+# str.translate table: each ASCII character that a JSON string escapes, as json.dumps escapes it
+_ESCAPES = {**{i: f"\\u{i:04x}" for i in (*range(32), 127)},
+            **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}}
+
+
+def _unicode(n: int) -> str:
+    """The \\u escape of code point n; past U+FFFF, those of its UTF-16 surrogate pair."""
+    return (f"\\u{n:04x}" if n < 0x10000
+            else _unicode(0xD800 | (n - 0x10000) >> 10) + _unicode(0xDC00 | n & 0x3FF))
+
+
+def _string(text: str) -> str:
+    """text as a JSON string, as json.dumps writes it with ensure_ascii."""
+    text = text.translate(_ESCAPES)
+    return '"' + (text if text.isascii() else "".join(c if c.isascii() else _unicode(ord(c)) for c in text)) + '"'
+
+
 def _machine(obj) -> str:
-    import json
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
-
-
-def _load_gram(path: str):
-    import json
-    from .lattice import GramMatrix
-    try:
-        text = _read_text(path)
-        if len(text) > MAX_GRAM_CHARS:
-            raise ValueError(f"file is longer than the cap of {MAX_GRAM_CHARS} characters")
-        return GramMatrix.from_dict(json.loads(text))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {text_repr(path)}: {exc.strerror or exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # a file over the cap, malformed JSON, bad UTF-8, an integer over the digit
-        # limit, nesting deeper than the parser's recursion limit, or a bad Gram object
-        raise InvalidInputError(f"{text_repr(path)}: {exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    """At most MAX_GRAM_CHARS + 1 characters of path, read in text mode as
-    open(path) reads them, so the cap counts characters. The open does not
-    wait for a FIFO's writer; the read waits up to GRAM_WAIT_S for one."""
-    nonblock = getattr(os, "O_NONBLOCK", 0)
-    # a directory opens too, and then open() refuses it by its path
-    with open(path, opener=lambda name, flags: os.open(name, flags | nonblock)) as fh:
-        head = b""
-        if nonblock:
-            import select
-            poll = select.poll()
-            poll.register(fh, select.POLLIN)
-            if not poll.poll(GRAM_WAIT_S * 1000):
-                try:
-                    head = os.read(fh.fileno(), 1)  # data here: a writer came at the last instant
-                except BlockingIOError:  # a writer holds the pipe open and has not written yet
-                    pass
-                else:
-                    if not head:  # end of file: no writer holds the pipe open
-                        raise ValueError(f"no writer opened it within {GRAM_WAIT_S} s")
-            os.set_blocking(fh.fileno(), True)
-        return head.decode(fh.encoding) + fh.read(MAX_GRAM_CHARS + 1 - len(head))  # /dev/zero ends here
-
-
-def _surface_spec(spec: str):
-    """The SurfaceData of a catalog name or of an inline 'c1sq,c2[,spin]'."""
-    from .surfaces import SurfaceData, catalog_lookup
-    parts = spec.split(",")
-    if len(parts) not in (2, 3):
-        return catalog_lookup(spec)
-    try:
-        c1_sq, c2 = int(parts[0]), int(parts[1])
-    except ValueError:
-        return catalog_lookup(spec)
-    if parts[2:] not in ([], ["spin"]):
-        raise InvalidInputError(f"bad surface spec {text_repr(spec)}: trailing part must be 'spin'")
-    return SurfaceData(name=spec, c1_sq=c1_sq, c2=c2, spin=len(parts) == 3)
+    """obj, whose dict keys are text, as json.dumps(obj, sort_keys=True,
+    separators=(",", ":"), default=_plain) writes it."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_machine, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(_string(k) + ":" + _machine(v) for k, v in sorted(obj.items())) + "}"
+    return _machine(_plain(obj))
 
 
 def _int(text: str) -> int:
@@ -177,8 +149,6 @@ _GRAMMAR = {
         "--p": dict(required=True, type=_int, help="field characteristic"),
         "--k": dict(type=_int, default=1, help="extension degree (1..3)"), **_JSON}),
 }
-_ABOUT = "classify unimodular forms, decide surface homeomorphism, count points"
-_COMMANDS = "{" + ",".join(_GRAMMAR) + "}"
 _HELP = ("-h", "--help")
 
 
@@ -186,57 +156,9 @@ class _Exit(Exception):
     """Help, (0, help, ""), or a usage error, (2, "", the error): the outcome of _outcome."""
 
 
-def _fill(text: str, width: int) -> list[str]:
-    """text in lines of at most width characters, broken at spaces."""
-    lines = []
-    for word in text.split():
-        if lines and len(lines[-1]) + 1 + len(word) <= width:
-            lines[-1] += " " + word
-        else:
-            lines.append(word)
-    return lines
-
-
-def _heads(command: str | None) -> list[tuple[str, dict]]:
-    """Each option of command as its help names it, with its keyword arguments."""
-    return [(o if "action" in kw else f"{o} {kw.get('metavar', o[2:].upper())}", kw)
-            for o, kw in (_GRAMMAR[command][1] if command else {}).items()]
-
-
-def _usage(command: str | None) -> str:
-    """argparse's usage of command, or of the program for None, at 80 columns."""
-    line = f"usage: surftop {command}" if command else "usage: surftop"
-    lines, indent = [line], " " * (len(line) + 1)
-    parts = [head if kw.get("required") else f"[{head}]" for head, kw in _heads(command)]
-    for part in ["[-h]", *parts] if command else ["[-h]", _COMMANDS + " ..."]:
-        if len(lines[-1]) + 1 + len(part) > 78:
-            lines.append(indent + part)
-        else:
-            lines[-1] += " " + part
-    return "\n".join(lines)
-
-
-def _help(command: str | None) -> str:
-    """argparse's help of command, or of the program for None, at 80 columns."""
-    options = [(2, "-h, --help", "show this help message and exit"),
-               *((2, head, kw.get("help")) for head, kw in _heads(command))]
-    commands = [] if command else [(2, _COMMANDS, None), *((4, c, h) for c, (h, _) in _GRAMMAR.items())]
-    position = min(24, 2 + max(indent + len(head) for indent, head, _ in options + commands))
-    blocks = [_usage(command)] + ([] if command else ["\n".join(_fill(_ABOUT, 78))])
-    for title, rows in (("positional arguments:", commands), ("options:", options)):
-        lines = [title]
-        for indent, head, text in rows:
-            lines.append(" " * indent + head)
-            wrapped = _fill(text or "", 78 - position)
-            if wrapped and len(lines[-1]) + 2 <= position:
-                lines[-1] = lines[-1].ljust(position) + wrapped.pop(0)
-            lines += [" " * position + line for line in wrapped]
-        blocks += ["\n".join(lines)] if rows else []
-    return "\n\n".join(blocks) + "\n"
-
-
 def _fail(command: str | None, message: str):
     """A usage error of command, or of the program for None, as argparse prints it."""
+    from .cli_help import _usage
     prog = f"surftop {command}" if command else "surftop"
     raise _Exit(2, "", f"{_usage(command)}\n{prog}: error: {message}\n")
 
@@ -276,6 +198,7 @@ def _take(command: str | None, word: str, found: list[tuple], words, names: tupl
         _fail(command, f"argument {'-h/--help' if name in _HELP else name}: "
                        f"ignored explicit argument {text_repr(explicit)}")
     if name in _HELP:
+        from .cli_help import _help
         raise _Exit(0, _help(command), "")
     if explicit is None and "action" not in kwargs:
         explicit = next(words, "--")  # with no word left, as before `--`, there is no value
@@ -321,81 +244,6 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return args
 
 
-def _run_classify(args) -> tuple[dict, list[str]]:
-    from .classification import ClassificationMode, classify_form, describe
-    from .lattice import invariants
-    m = _load_gram(args.gram)
-    mode = (ClassificationMode.SMOOTH_FOUR_MANIFOLD if args.smooth
-            else ClassificationMode.ABSTRACT_LATTICE)
-    inv = invariants(m)
-    cls = classify_form(inv, mode)
-    text = [
-        f"rank {inv.rank}  b+ {inv.b_plus}  b- {inv.b_minus}  "
-        f"signature {inv.signature}  parity {inv.parity.value}  "
-        f"determinant {inv.determinant}",
-        f"class: {describe(cls)}",
-    ]
-    return {"invariants": inv, "class": cls}, text
-
-
-def _surface(s) -> tuple[dict, list[str]]:
-    from .classification import describe
-    from .surfaces import compute_invariants, intersection_form_class
-    inv = compute_invariants(s)
-    cls = intersection_form_class(s)
-    payload = {"surface": s, "invariants": inv, "class": cls}
-    text = [
-        f"{s.name}: c1^2 {s.c1_sq}, c2 {s.c2}, {'spin' if s.spin else 'non-spin'}",
-        f"  b2 {inv.b2}  signature {inv.sigma}  parity {inv.parity.value}  "
-        f"b+ {inv.b_plus}  b- {inv.b_minus}  chi(O) {inv.chi_holo}",
-        f"  intersection form: {describe(cls)}",
-    ]
-    return payload, text
-
-
-def _run_surface(args) -> tuple[dict, list[str]]:
-    from .surfaces import SurfaceData, catalog_lookup
-    if args.name is not None:
-        return _surface(catalog_lookup(args.name))
-    return _surface(SurfaceData(name="surface", c1_sq=args.c1sq, c2=args.c2, spin=args.spin))
-
-
-def _run_compare(args) -> tuple[dict, list[str]]:
-    from .surfaces import homeomorphic
-    a = _surface_spec(args.a)
-    b = _surface_spec(args.b)
-    verdict = homeomorphic(a, b)
-    (pa, ta), (pb, tb) = _surface(a), _surface(b)
-    text = ta + tb + [f"verdict: {'homeomorphic' if verdict else 'not homeomorphic'}"]
-    return {"a": pa, "b": pb, "homeomorphic": verdict}, text
-
-
-def _run_counterexample(args) -> tuple[dict, list[str]]:
-    from .classification import describe
-    from .surfaces import catalog_lookup, compute_invariants, homeomorphic, intersection_form_class
-    from .zeta import counterexample_report
-    report = counterexample_report(args.primes, degrees=args.degrees)
-    a, b = report["surfaces"]
-    surfaces = {n: catalog_lookup(n) for n in (a, b)}
-    homeo = homeomorphic(*surfaces.values())
-    classes = {n: intersection_form_class(s) for n, s in surfaces.items()}
-    invs = {n: compute_invariants(s) for n, s in surfaces.items()}
-    conclusion = ("point counts agree over every tested field, yet the surfaces are not homeomorphic: "
-                  "zeta data does not determine homeomorphism type"
-                  if report["all_counts_equal"] and not homeo
-                  else "expected counterexample conditions were NOT met; see the data")
-    text = [f"surfaces: {a} vs {b} (P2 blown up at a point)"]
-    for block in report["primes"]:
-        for row in block["counts"]:
-            mark = "==" if row["equal"] else "!="
-            text.append(f"  q = {row['q']:>4}: {row[a]:>8} {mark} {row[b]:>8}")
-    text += [f"intersection forms: {describe(classes[a])} vs {describe(classes[b])}",
-             f"homeomorphic: {homeo}", conclusion]
-    return {**report, "homeomorphic": homeo, "form_classes": classes, "conclusion": conclusion,
-            "invariants": {n: {"b2": i.b2, "sigma": i.sigma, "parity": i.parity}
-                           for n, i in invs.items()}}, text
-
-
 def _run_count(args) -> tuple[dict, list[str]]:
     from .zeta import build_field, count_variety
     field = build_field(args.p, args.k)
@@ -404,11 +252,12 @@ def _run_count(args) -> tuple[dict, list[str]]:
     return payload, [f"{pc.variety} over GF({pc.q}): {pc.count} points"]
 
 
+# each runner but count is imported from its module when it runs
 _RUNNERS = {
-    "classify": _run_classify,
-    "surface": _run_surface,
-    "compare": _run_compare,
-    "counterexample": _run_counterexample,
+    "classify": lambda args: import_module(".cli_gram", __package__).run_classify(args),
+    "surface": lambda args: import_module(".cli_surfaces", __package__).run_surface(args),
+    "compare": lambda args: import_module(".cli_surfaces", __package__).run_compare(args),
+    "counterexample": lambda args: import_module(".cli_surfaces", __package__).run_counterexample(args),
     "count": _run_count,
 }
 
@@ -453,4 +302,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])  # cli_gram's cli, not a second copy
     sys.exit(main())

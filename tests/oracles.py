@@ -55,7 +55,8 @@ from pathlib import Path
 import surftop
 from surftop.classification import (ClassificationMode, DefiniteDiagonal, FormClass, IndefiniteEven,
                                     IndefiniteOdd, classify_form)
-from surftop.cli import _ABOUT, _GRAMMAR
+from surftop.cli import _GRAMMAR
+from surftop.cli_help import _ABOUT
 from surftop.lattice import GramMatrix, invariants
 from surftop.zeta import MODELS, PointCount
 

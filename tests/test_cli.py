@@ -8,11 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import run_fresh
 from surftop import cli, surfaces
-from surftop.cli import _GRAMMAR, _machine, main, parse_args
-from surftop.classification import IndefiniteOdd, Parity
+from surftop.cli import _GRAMMAR, _machine, _plain, main, parse_args
+from surftop.classification import ClassificationMode, IndefiniteOdd, Parity
 from surftop.errors import text_repr
 from test_cli_golden import CASES, golden, rows, run_case
 
@@ -335,7 +337,21 @@ class TestCapBeforePrimality:
     test_composite_over_cap_is_usage_error = rows("usage composite over cap")
 
 
+# text over every code point: astral ones, C0 controls, DEL and lone surrogates among them
+TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\"\\\ud800\udfff\U0001f600"))
+JSON_VALUES = st.recursive(
+    TEXT | st.integers() | st.integers(2**64, 2**200) | st.booleans() | st.none()
+    | st.sampled_from([*Parity, *ClassificationMode])
+    | st.builds(IndefiniteOdd, st.integers(1, 2**70), st.integers(1, 9))
+    | st.builds(surfaces.SurfaceData, name=TEXT, c1_sq=st.integers(), c2=st.integers(), spin=st.booleans()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(TEXT, inner), max_leaves=10)
+
+
 class TestMachineEncoder:
+    @given(JSON_VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert _machine(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), default=_plain)
+
     def test_records_and_enums(self):
         assert _machine({"class": IndefiniteOdd(1, 1), "parity": Parity.ODD}) == (
             '{"class":{"n_minus":1,"n_plus":1,"variant":"IndefiniteOdd"},"parity":"odd"}')

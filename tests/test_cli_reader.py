@@ -1,8 +1,8 @@
 """The CLI's argv reader against argparse, its oracle.
 
 `surftop.cli.parse_args` reads every argv from the grammar table as
-argparse of Python 3.13.13 reads it, and writes help and usage errors
-itself. `oracles.argparse_args` is argparse built from the same table.
+argparse of Python 3.13.13 reads it, and `surftop.cli_help` writes help
+and usage errors. `oracles.argparse_args` is argparse built from the same table.
 Whatever the argv, `main(argv)` gives the exit code, stdout and stderr
 that the oracle gives, but that the CLI cuts each word past 40
 characters (text_repr). argparse before 3.13.13 reads three shapes of

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -18,6 +19,7 @@ from oracles import (
     gram_to_dict,
     one_pivot_elimination,
     parity_by_enumeration,
+    run_fresh,
 )
 from strategies import (
     DEFAULT_ENTRY_CAP,
@@ -164,11 +166,15 @@ class TestEliminationWorkCap:
         assert determinant(self._constant(200, -DEFAULT_ENTRY_CAP)) == 0
 
     def test_rank_200_mix_accepted(self):
+        # in a fresh process: a pass that never ends fails at the timeout instead of stalling the suite
         m = random_unimodular_transform(diag(*[1] * 100, *[-1] * 100), seed=200, steps=20 * 200)
-        start = time.perf_counter()
-        inv = invariants(m)
-        assert time.perf_counter() - start < 10.0  # one elimination pass: about 1 s on a 2-vCPU Xeon VM
-        assert (inv.b_plus, inv.b_minus, inv.determinant) == (100, 100, 1)
+        child = ("import json, sys, time\nfrom surftop.lattice import GramMatrix, invariants\n"
+                 "m = GramMatrix(json.load(sys.stdin))\nstart = time.perf_counter()\ninv = invariants(m)\n"
+                 "print(time.perf_counter() - start, inv.b_plus, inv.b_minus, inv.determinant)")
+        seconds, *inv = run_fresh("-c", child, input=json.dumps(m.entries), capture_output=True, text=True,
+                                  timeout=30, check=True).stdout.split()
+        assert float(seconds) < 10.0  # one elimination pass: about 1 s on a 2-vCPU Xeon VM
+        assert inv == ["100", "100", "1"]
 
 
 class TestParity:
