@@ -6,10 +6,11 @@ matrix file, `surface` invariants by catalog name or raw numbers,
 the equal-zeta / different-topology demonstration, and `count` points of
 a shipped model over GF(p^k). This module holds what every command
 runs: the reader, the encoder and the `count` runner. The other runners
-(cli_gram for `classify`, cli_surfaces for the rest) and the help writer
-(cli_help) are imported when they run, and each runner imports the layers
-it uses, so a command loads only those: `count` loads `zeta` alone, and
-only `classify` loads json, to read its Gram file.
+(cli_gram for `classify`, with its file caps; cli_surfaces for the rest)
+and the help writer (cli_help, given _GRAMMAR) are imported when they
+run, and none of them imports this module. Each runner imports the
+layers it uses, so a command loads only those: `count` loads `zeta`
+alone, and only `classify` loads json, to read its Gram file.
 
 One table, _GRAMMAR, gives every option as argparse keyword arguments.
 One reader, parse_args, reads every argv from it as argparse of Python
@@ -46,12 +47,6 @@ from types import SimpleNamespace
 
 from . import Record
 from .errors import DomainError, int_text, text_repr
-
-
-# about 20 times the largest compact Gram file whose elimination MAX_ELIMINATION_WORK admits
-MAX_GRAM_CHARS = 2**24
-# seconds a Gram file waits for a writer to open it (a FIFO) before it is refused
-GRAM_WAIT_S = 3
 
 
 def _plain(obj):
@@ -160,7 +155,7 @@ def _fail(command: str | None, message: str):
     """A usage error of command, or of the program for None, as argparse prints it."""
     from .cli_help import _usage
     prog = f"surftop {command}" if command else "surftop"
-    raise _Exit(2, "", f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise _Exit(2, "", f"{_usage(_GRAMMAR, command)}\n{prog}: error: {message}\n")
 
 
 def _lookup(word: str, names: tuple[str, ...]) -> list[tuple] | None:
@@ -199,7 +194,7 @@ def _take(command: str | None, word: str, found: list[tuple], words, names: tupl
                        f"ignored explicit argument {text_repr(explicit)}")
     if name in _HELP:
         from .cli_help import _help
-        raise _Exit(0, _help(command), "")
+        raise _Exit(0, _help(_GRAMMAR, command), "")
     if explicit is None and "action" not in kwargs:
         explicit = next(words, "--")  # with no word left, as before `--`, there is no value
         if explicit == "--" or _lookup(explicit, names) is not None:
@@ -302,5 +297,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])  # cli_gram's cli, not a second copy
     sys.exit(main())

@@ -2,19 +2,23 @@
 
 Gram matrix file schema: {"n": <int>, "entries": [[<int>, ...], ...]}
 with integers parsed exactly, up to Python's default limit of 4300
-digits per integer. At most cli.MAX_GRAM_CHARS (2**24) characters are
+digits per integer. At most MAX_GRAM_CHARS (2**24) characters are
 read; a longer file, or one that cannot be read or parsed, is refused as
 InvalidInput. Opening the file never waits (O_NONBLOCK, where the
-platform has it): a FIFO that no writer opens within cli.GRAM_WAIT_S (3)
+platform has it): a FIFO that no writer opens within GRAM_WAIT_S (3)
 seconds is refused as InvalidInput. A writer that opens the FIFO and
 never writes still blocks the read, as it would block `cat`. Both caps
-are read from `cli` at each read, so a caller may set them there.
+live here, in the module that reads them.
 """
 
 import os
 
-from . import cli
 from .errors import InvalidInputError, text_repr
+
+# about 20 times the largest compact Gram file whose elimination MAX_ELIMINATION_WORK admits
+MAX_GRAM_CHARS = 2**24
+# seconds a Gram file waits for a writer to open it (a FIFO) before it is refused
+GRAM_WAIT_S = 3
 
 
 def _load_gram(path: str):
@@ -22,8 +26,8 @@ def _load_gram(path: str):
     from .lattice import GramMatrix
     try:
         text = _read_text(path)
-        if len(text) > cli.MAX_GRAM_CHARS:
-            raise ValueError(f"file is longer than the cap of {cli.MAX_GRAM_CHARS} characters")
+        if len(text) > MAX_GRAM_CHARS:
+            raise ValueError(f"file is longer than the cap of {MAX_GRAM_CHARS} characters")
         return GramMatrix.from_dict(json.loads(text))
     except OSError as exc:
         raise InvalidInputError(f"cannot read {text_repr(path)}: {exc.strerror or exc}") from exc
@@ -45,16 +49,16 @@ def _read_text(path: str) -> str:
             import select
             poll = select.poll()
             poll.register(fh, select.POLLIN)
-            if not poll.poll(cli.GRAM_WAIT_S * 1000):
+            if not poll.poll(GRAM_WAIT_S * 1000):
                 try:
                     head = os.read(fh.fileno(), 1)  # data here: a writer came at the last instant
                 except BlockingIOError:  # a writer holds the pipe open and has not written yet
                     pass
                 else:
                     if not head:  # end of file: no writer holds the pipe open
-                        raise ValueError(f"no writer opened it within {cli.GRAM_WAIT_S} s")
+                        raise ValueError(f"no writer opened it within {GRAM_WAIT_S} s")
             os.set_blocking(fh.fileno(), True)
-        return head.decode(fh.encoding) + fh.read(cli.MAX_GRAM_CHARS + 1 - len(head))  # /dev/zero ends here
+        return head.decode(fh.encoding) + fh.read(MAX_GRAM_CHARS + 1 - len(head))  # /dev/zero ends here
 
 
 def run_classify(args) -> tuple[dict, list[str]]:

@@ -1,10 +1,9 @@
 """Help and usage errors of the CLI, as argparse of Python 3.13.13 writes
-them at 80 columns. Only `-h` and a usage error load this module."""
-
-from .cli import _GRAMMAR
+them at 80 columns. Only `-h` and a usage error load this module. Each
+writer takes the grammar from its caller: command -> (help, {option:
+argparse keyword arguments}), as `cli._GRAMMAR` gives it."""
 
 _ABOUT = "classify unimodular forms, decide surface homeomorphism, count points"
-_COMMANDS = "{" + ",".join(_GRAMMAR) + "}"
 
 
 def _fill(text: str, width: int) -> list[str]:
@@ -18,18 +17,18 @@ def _fill(text: str, width: int) -> list[str]:
     return lines
 
 
-def _heads(command: str | None) -> list[tuple[str, dict]]:
+def _heads(grammar: dict, command: str | None) -> list[tuple[str, dict]]:
     """Each option of command as its help names it, with its keyword arguments."""
     return [(o if "action" in kw else f"{o} {kw.get('metavar', o[2:].upper())}", kw)
-            for o, kw in (_GRAMMAR[command][1] if command else {}).items()]
+            for o, kw in (grammar[command][1] if command else {}).items()]
 
 
-def _usage(command: str | None) -> str:
+def _usage(grammar: dict, command: str | None) -> str:
     """argparse's usage of command, or of the program for None, at 80 columns."""
     line = f"usage: surftop {command}" if command else "usage: surftop"
     lines, indent = [line], " " * (len(line) + 1)
-    parts = [head if kw.get("required") else f"[{head}]" for head, kw in _heads(command)]
-    for part in ["[-h]", *parts] if command else ["[-h]", _COMMANDS + " ..."]:
+    parts = [head if kw.get("required") else f"[{head}]" for head, kw in _heads(grammar, command)]
+    for part in ["[-h]", *parts] if command else ["[-h]", "{" + ",".join(grammar) + "} ..."]:
         if len(lines[-1]) + 1 + len(part) > 78:
             lines.append(indent + part)
         else:
@@ -37,13 +36,14 @@ def _usage(command: str | None) -> str:
     return "\n".join(lines)
 
 
-def _help(command: str | None) -> str:
+def _help(grammar: dict, command: str | None) -> str:
     """argparse's help of command, or of the program for None, at 80 columns."""
     options = [(2, "-h, --help", "show this help message and exit"),
-               *((2, head, kw.get("help")) for head, kw in _heads(command))]
-    commands = [] if command else [(2, _COMMANDS, None), *((4, c, h) for c, (h, _) in _GRAMMAR.items())]
+               *((2, head, kw.get("help")) for head, kw in _heads(grammar, command))]
+    commands = [] if command else [(2, "{" + ",".join(grammar) + "}", None),
+                                   *((4, c, h) for c, (h, _) in grammar.items())]
     position = min(24, 2 + max(indent + len(head) for indent, head, _ in options + commands))
-    blocks = [_usage(command)] + ([] if command else ["\n".join(_fill(_ABOUT, 78))])
+    blocks = [_usage(grammar, command)] + ([] if command else ["\n".join(_fill(_ABOUT, 78))])
     for title, rows in (("positional arguments:", commands), ("options:", options)):
         lines = [title]
         for indent, head, text in rows:

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import run_fresh
-from surftop import cli, surfaces
+from surftop import cli_gram, surfaces
 from surftop.cli import _GRAMMAR, _machine, _plain, main, parse_args
 from surftop.classification import ClassificationMode, IndefiniteOdd, Parity
 from surftop.errors import text_repr
@@ -55,11 +55,11 @@ class TestClassifyCommand:
         assert time.perf_counter() - start < 2
         err = capsys.readouterr().err
         assert err.startswith("InvalidInput: ")
-        assert f"cap of {cli.MAX_GRAM_CHARS} characters" in err
+        assert f"cap of {cli_gram.MAX_GRAM_CHARS} characters" in err
 
     def test_file_of_the_cap_parses_and_one_more_character_is_refused(self, tmp_path, capsys, monkeypatch):
         text = json.dumps(H_OBJ) + "  "  # JSON allows the trailing whitespace
-        monkeypatch.setattr(cli, "MAX_GRAM_CHARS", len(text))
+        monkeypatch.setattr(cli_gram, "MAX_GRAM_CHARS", len(text))
         path = tmp_path / "h.json"
         path.write_text(text)
         assert main(["classify", "--gram", str(path)]) == 0
@@ -77,7 +77,7 @@ class TestClassifyCommand:
         Path("g.json").write_text('{"n": 1, "entries": [[1]], "é": 0}', encoding="utf-8")  # 34 characters, 35 bytes
         for cap, error in [(34, "Gram object must have exactly the fields 'n' and 'entries'"),
                            (33, "file is longer than the cap of 33 characters")]:
-            monkeypatch.setattr(cli, "MAX_GRAM_CHARS", cap)
+            monkeypatch.setattr(cli_gram, "MAX_GRAM_CHARS", cap)
             assert main(["classify", "--gram", "g.json"]) == 1
             assert capsys.readouterr().err == f"InvalidInput: 'g.json': {error}\n"
 
@@ -94,11 +94,11 @@ class TestGramFileThatWaits:
         start = time.perf_counter()
         proc = run_fresh(  # a hang fails here, after the timeout, instead of stalling the suite
             "-m", "surftop.cli", "classify", "--gram", str(fifo),
-            capture_output=True, text=True, timeout=cli.GRAM_WAIT_S + 2,
+            capture_output=True, text=True, timeout=cli_gram.GRAM_WAIT_S + 2,
         )
-        assert time.perf_counter() - start < cli.GRAM_WAIT_S + 2
+        assert time.perf_counter() - start < cli_gram.GRAM_WAIT_S + 2
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == f"InvalidInput: {text_repr(str(fifo))}: no writer opened it within {cli.GRAM_WAIT_S} s\n"
+        assert proc.stderr == f"InvalidInput: {text_repr(str(fifo))}: no writer opened it within {cli_gram.GRAM_WAIT_S} s\n"
 
     @needs_fifo
     def test_fifo_whose_writer_opens_late_is_read(self, tmp_path, capsys):
@@ -114,14 +114,14 @@ class TestGramFileThatWaits:
         writer.start()
         start = time.perf_counter()
         assert main(["classify", "--gram", str(fifo)]) == 0
-        assert time.perf_counter() - start < cli.GRAM_WAIT_S
+        assert time.perf_counter() - start < cli_gram.GRAM_WAIT_S
         writer.join(5)
         assert not writer.is_alive()
         assert "class: H" in capsys.readouterr().out
 
     @needs_fifo
     def test_fifo_whose_writer_is_silent_past_the_wait_is_read(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "GRAM_WAIT_S", 0.1)
+        monkeypatch.setattr(cli_gram, "GRAM_WAIT_S", 0.1)
         fifo = tmp_path / "h.json"
         os.mkfifo(fifo)
         writer_in = threading.Event()

@@ -165,24 +165,18 @@ def test_classify_loads_no_zeta(tmp_path):
     assert "zeta" not in seen(CLASSIFY, tmp_path)[2]
 
 
-@pytest.mark.parametrize("row", [K3, CLASSIFY, COUNTEREXAMPLE], ids=lambda row: row.split()[0])
-def test_layer_commands_load_no_dataclasses_inspect_or_random(row, tmp_path):
-    assert not {"dataclasses", "inspect", "random"} & set(seen(row, tmp_path)[3])
-
-
-@pytest.mark.parametrize("row", [COUNT, K3], ids=lambda row: row.split()[0])
-def test_text_commands_load_no_json(row, tmp_path):
-    assert "json" not in seen(row, tmp_path)[3]
-
-
 @pytest.mark.parametrize("row", [CLASSIFY], ids=["classify h.json"])
 def test_json_io_loads_json(row, tmp_path):
     assert "json" in seen(row, tmp_path)[3]
 
 
-def test_module_run_imports_no_second_cli(tmp_path):
-    # `python -m surftop.cli` runs cli as __main__, and cli_gram's `from . import cli` finds that module
+# `python -m surftop.cli` runs cli as __main__, not as surftop.cli. No CLI submodule
+# imports cli, so none of the three paths that load one loads a second copy of it
+@pytest.mark.parametrize("row", [CLASSIFY, "-h", "frobnicate"], ids=lambda row: row.split()[0])
+def test_module_run_imports_no_second_cli(row, tmp_path):
     (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
-    err = run_fresh("-X", "importtime", "-m", "surftop.cli", "classify", "--gram", "h.json", cwd=tmp_path,
-                    capture_output=True, text=True, check=True).stderr
-    assert "surftop.cli" not in [line.rpartition("|")[2].strip() for line in err.splitlines()]
+    proc = run_fresh("-X", "importtime", "-m", "surftop.cli", *row.split(), cwd=tmp_path,
+                     capture_output=True, text=True)
+    code, first_line = FOOTPRINT[row][:2]
+    assert (proc.returncode, first_line in proc.stdout + proc.stderr) == (code, True)
+    assert "surftop.cli" not in [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
