@@ -42,7 +42,6 @@ stderr.
 import os
 import sys
 from enum import Enum
-from importlib import import_module
 from types import SimpleNamespace
 
 from . import Record
@@ -248,13 +247,16 @@ def _run_count(args) -> tuple[dict, list[str]]:
 
 
 # each runner but count is imported from its module when it runs
-_RUNNERS = {
-    "classify": lambda args: import_module(".cli_gram", __package__).run_classify(args),
-    "surface": lambda args: import_module(".cli_surfaces", __package__).run_surface(args),
-    "compare": lambda args: import_module(".cli_surfaces", __package__).run_compare(args),
-    "counterexample": lambda args: import_module(".cli_surfaces", __package__).run_counterexample(args),
-    "count": _run_count,
-}
+def _run_elsewhere(args) -> tuple[dict, list[str]]:
+    if args.command == "classify":
+        from . import cli_gram as runners
+    else:
+        from . import cli_surfaces as runners
+    return getattr(runners, f"run_{args.command}")(args)
+
+
+_RUNNERS = {"classify": _run_elsewhere, "surface": _run_elsewhere, "compare": _run_elsewhere,
+            "counterexample": _run_elsewhere, "count": _run_count}
 
 
 def _outcome(argv: list[str]) -> tuple[int, str, str]:

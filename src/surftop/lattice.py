@@ -8,6 +8,7 @@ It maps a form to its invariants and never a class back to a form.
 """
 
 from math import isqrt
+from operator import itemgetter
 
 from . import Record
 from .classification import FormInvariants, Parity
@@ -20,18 +21,14 @@ class GramMatrix(Record):
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
+        rows = tuple(map(tuple, self.entries))
+        for row in rows:  # the first bad row names its fault
+            if len(row) != len(rows):
                 raise ValueError("Gram matrix must be square")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError("Gram matrix entries must be integers")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+            if not all(issubclass(t, int) and t is not bool for t in set(map(type, row))):
+                raise ValueError("Gram matrix entries must be integers")
+        if any(row[i:] != tuple(map(itemgetter(i), rows[i:])) for i, row in enumerate(rows)):
+            raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -83,17 +80,26 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
     H = sum_i bitlen(|row_i|) bits (Hadamard), bounded here in O(n^2)
     through |row_i| <= sqrt(n) max_j |a_ij|, and n^2 * H * isqrt(H)
     tracks the pass's time within a factor of about 3; a form over
-    MAX_ELIMINATION_WORK is refused with a ValueError. The last accepted
-    form and its result are kept: a call with that same object (a form is
-    immutable, and the kept reference stops its id being reused) makes no pass.
+    MAX_ELIMINATION_WORK is refused with a ValueError, first on its rank
+    (H without entry bits: every n >= 442), then on its rows. A pivot is
+    a minor in the repaired basis: linear in each of the r repaired
+    vectors e_k + s e_j, it sums at most 4^r minors of the form, so has
+    at most H + 2r bits. One past that comes from an inexact division,
+    a fault of this code: ArithmeticError, which main lets propagate.
+    The last accepted form and its result are kept: a call with that
+    same object (a form is immutable, and the kept reference stops its
+    id being reused) makes no pass.
     """
     global _last
     form, result = _last
     if form is m:
         return result
     n = m.n
-    h = sum(max(map(abs, row)).bit_length() for row in m.entries) + n * ((n.bit_length() + 1) // 2)
+    h = n * ((n.bit_length() + 1) // 2)  # H of a rank-n form with no entry bits
     work = n * n * h * isqrt(h)
+    if work <= MAX_ELIMINATION_WORK:  # else the rank alone is over the cap: no row is summed
+        h += sum(max(map(abs, row)).bit_length() for row in m.entries)
+        work = n * n * h * isqrt(h)
     if work > MAX_ELIMINATION_WORK:
         raise ValueError(f"elimination work {int_text(work)} exceeds the cap {MAX_ELIMINATION_WORK}")
     a = [list(row) for row in m.entries]
@@ -124,6 +130,7 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
                 if j is None:
                     kernel, k = kernel + 1, k + 1
                     continue
+                h += 2  # the pivots' bound: H + 2r after r repairs
                 s = 1 if 2 * row[j] + a[j][j] else -1
                 row[k] = p = 2 * s * row[j] + a[j][j]
                 for i in range(k + 1, n):
@@ -133,6 +140,8 @@ def _eliminate(m: GramMatrix) -> tuple[int, int, int]:
                 r[i:] = [(x * p - c * y) // prev for x, y in zip(r[i:], row[i:])]
             pivots = p,
         for p in pivots:
+            if p.bit_length() > h:
+                raise ArithmeticError(f"a pivot of {p.bit_length()} bits passes the bound of {h}")
             neg += (p > 0) != (prev > 0)
             prev = p
         k += len(pivots)

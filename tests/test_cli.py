@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import run_fresh
 from surftop import cli_gram, surfaces
-from surftop.cli import _GRAMMAR, _machine, _plain, main, parse_args
+from surftop.cli import _GRAMMAR, _machine, _plain, main
 from surftop.classification import ClassificationMode, IndefiniteOdd, Parity
 from surftop.errors import text_repr
 from test_cli_golden import CASES, golden, rows, run_case
@@ -23,13 +23,6 @@ H_OBJ = {"n": 2, "entries": [[0, 1], [1, 0]]}
 
 
 class TestParseArgs:
-    def test_classify_defaults(self):
-        args = parse_args(["classify", "--gram", "h.json"])
-        assert args.command == "classify"
-        assert args.gram == "h.json"
-        assert args.smooth is False
-        assert args.json is False
-
     test_missing_required_exits_2 = rows("usage classify")
     test_no_subcommand_exits_2 = rows("usage")
     test_bad_primes_exit_2 = rows("usage empty prime list", "usage counterexample --primes 2,x",

@@ -1,4 +1,6 @@
+import builtins
 import json
+import math
 import random
 import time
 
@@ -80,7 +82,8 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             GramMatrix(((True,),))
 
-    @pytest.mark.parametrize("rows", [[[1.5]], [["3"]], [[True]], [[1.9, 0.5], [0.5, -1.2]]])
+    # the last: row 0's float is met before row 1's short length
+    @pytest.mark.parametrize("rows", [[[1.5]], [["3"]], [[True]], [[1.9, 0.5], [0.5, -1.2]], [[0, 1.5], [1.5]]])
     def test_from_rows_rejects_non_integer(self, rows):
         with pytest.raises(ValueError, match="entries must be integers"):
             GramMatrix(rows)
@@ -161,6 +164,14 @@ class TestEliminationWorkCap:
         with pytest.raises(ValueError, match=self.CAP_MESSAGE):
             determinant(self._constant(15, self.BIGGEST))
 
+    def test_rank_442_is_refused_on_its_rank_alone(self, passes):
+        # H is at least (n.bit_length() + 1) // 2 = 5 bits a row, and at H = 442 * 5 the
+        # work n^2 * H * isqrt(H) is over the cap, whatever the entries
+        assert determinant(GramMatrix([[0] * 441] * 441)) == 0
+        with pytest.raises(ValueError, match=f"^elimination work {442**2 * 2210 * 47} exceeds"):
+            determinant(GramMatrix([[0] * 442] * 442))
+        assert len(passes) == 1  # the Hadamard walk ran for rank 441 only
+
     def test_every_rank_200_form_within_the_entry_cap_is_accepted(self):
         # the estimate is largest when every entry is as wide as the cap allows
         assert determinant(self._constant(200, -DEFAULT_ENTRY_CAP)) == 0
@@ -238,6 +249,16 @@ class TestInvariants:
         assert invariants(m).determinant == -1
         assert len(calls) == 1 and calls[0] is m
 
+    def test_repairs_among_20_bit_entries_stay_within_the_pivot_bound(self):
+        # sixteen blocks ((0, x), (x, y)) of 20-bit entries: the pass repairs a zero pivot
+        # at the start of each, and the determinant takes about 40 of the 48 bits that
+        # each block adds to the bound H + 2r (r the repairs so far), so the guard does
+        # not fire near its edge
+        rng = random.Random(20)
+        xs = [rng.randrange(2**19, 2**20) for _ in range(16)]
+        m = block_diag(*(GramMatrix(((0, x), (x, rng.randrange(1 - 2**20, 2**20)))) for x in xs))
+        assert lattice._eliminate(m) == one_pivot_elimination(m.entries) == (16, 16, math.prod(xs) ** 2)
+
     @pytest.mark.parametrize("m", _deep_forms(20) + WIDE_FORMS, ids=lambda m: f"rank{m.n}")
     def test_deep_ranks_match_oracles(self, m):
         assert lattice._eliminate(m) == charpoly_invariants(m.entries)
@@ -286,10 +307,10 @@ class TestInvariants:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts elimination passes: the work estimate takes one isqrt per pass."""
+    """Counts elimination passes: each pass that its rank admits sums its rows' bits
+    once, for the work estimate (the rank's floor and the estimate take an isqrt each)."""
     calls = []
-    original = lattice.isqrt
-    monkeypatch.setattr(lattice, "isqrt", lambda h: calls.append(h) or original(h))
+    monkeypatch.setattr(lattice, "sum", lambda bits: calls.append(None) or builtins.sum(bits), raising=False)
     return calls
 
 

@@ -160,23 +160,17 @@ def test_load_footprint(row, tmp_path):
                                                                  watched.split())
 
 
-# the rules the table follows, each under its own name
-def test_classify_loads_no_zeta(tmp_path):
-    assert "zeta" not in seen(CLASSIFY, tmp_path)[2]
-
-
-@pytest.mark.parametrize("row", [CLASSIFY], ids=["classify h.json"])
-def test_json_io_loads_json(row, tmp_path):
-    assert "json" in seen(row, tmp_path)[3]
-
-
 # `python -m surftop.cli` runs cli as __main__, not as surftop.cli. No CLI submodule
-# imports cli, so none of the three paths that load one loads a second copy of it
-@pytest.mark.parametrize("row", [CLASSIFY, "-h", "frobnicate"], ids=lambda row: row.split()[0])
-def test_module_run_imports_no_second_cli(row, tmp_path):
+# imports cli, so none of the paths that load one loads a second copy of it; each is
+# loaded by an import statement, so -X importtime lists it
+@pytest.mark.parametrize("row, submodule", [(CLASSIFY, "cli_gram"), ("-h", "cli_help"),
+                                            ("frobnicate", "cli_help"), (K3, "cli_surfaces")],
+                         ids=["classify", "-h", "frobnicate", "surface"])
+def test_module_run_imports_no_second_cli(row, submodule, tmp_path):
     (tmp_path / "h.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
     proc = run_fresh("-X", "importtime", "-m", "surftop.cli", *row.split(), cwd=tmp_path,
                      capture_output=True, text=True)
     code, first_line = FOOTPRINT[row][:2]
     assert (proc.returncode, first_line in proc.stdout + proc.stderr) == (code, True)
-    assert "surftop.cli" not in [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    timed = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "surftop.cli" not in timed and f"surftop.{submodule}" in timed

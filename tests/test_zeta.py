@@ -499,11 +499,6 @@ class TestClassKernelAgainstFullHistograms:
             assert count_hypersurface_p3(form, f).count == _full_histogram_count(form, f), form
 
 class TestAtTheCap:
-    @pytest.mark.parametrize("p,k", [(5, 3), (7, 3)])
-    def test_blowup_closed_form(self, p, k):
-        f = build_field(p, k)
-        assert count_blowup_p2(f).count == (f.q + 1) ** 2
-
     def test_blowup_closed_form_at_every_field(self):
         fields = [build_field(p, k) for p in range(2, MAX_Q + 1) if is_prime(p)
                   for k in (1, 2, 3) if p**k <= MAX_Q]
